@@ -61,8 +61,6 @@ from .perms import (
     reduce_values,
 )
 from .pwl import (
-    OrbitCell,
-    OrbitLinearization,
     PwlMap,
     PwlPiece,
     alt_sawtooth,
@@ -70,7 +68,6 @@ from .pwl import (
     catalog,
     descent_components,
     diagonal_region,
-    orbit_linearization,
     refined_piece_count,
     sawtooth,
     tent,
@@ -84,8 +81,6 @@ __all__ = [
     "DuplicateValue",
     "LoadedMap",
     "NumericMap",
-    "OrbitCell",
-    "OrbitLinearization",
     "OutOfDomain",
     "ParseError",
     "PatlabError",
@@ -120,7 +115,6 @@ __all__ = [
     "is_realized",
     "load_map_spec",
     "multinomial_blocks",
-    "orbit_linearization",
     "parse_perm",
     "pattern_at",
     "reduce_values",

@@ -3,11 +3,11 @@
 Every command emits a JSON envelope {"map", "n", "exact", "result",
 "engine_version", "elapsed_ms"} (plus "note" where a caveat applies) to
 stdout or --out; --format csv flattens just the result.  Exit codes:
-0 success, 2 validation or usage error, 3 resource limit exceeded
+0 success, 2 validation, usage or file error, 3 resource limit exceeded
 (1 is reserved for `verify` finding a failed check).
 
 Exact subcommands cap n at 10 unless --unsafe is given: beyond that the
-cell enumeration grows roughly like (piece count)^n and is a deliberate
+refinement grows roughly like (piece count)^n and is a deliberate
 act, not a typo.  Set PATLAB_CACHE_DIR to reuse exact pattern sets across
 runs; entries are keyed by map spec, operation, n, and engine version.
 """
@@ -15,6 +15,7 @@ runs; entries are keyed by map spec, operation, n, and engine version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -26,25 +27,16 @@ from dataclasses import asdict
 from . import __version__, cache
 from .bounds import basis_length_check, basis_obstruction, shortest_bound
 from .engine import (
+    DEFAULT_CELL_BUDGET,
     exact_allowed,
     exact_basic_forbidden,
     exact_forbidden,
     shortest_forbidden_length,
 )
-from .errors import (
-    BadParameter,
-    DuplicateValue,
-    OutOfDomain,
-    ParseError,
-    PatlabError,
-    ResourceLimit,
-    UnknownMap,
-    ValidationError,
-)
+from .errors import BadParameter, PatlabError, ResourceLimit
 from .mapspec import load_map_spec, serialize
 from .numeric import SampleConfig, first_missing_cap, sampled_allowed
 from .perms import DEFAULT_NODE_BUDGET, avoiders, count_avoiders, parse_perm
-from .pwl import DEFAULT_CELL_BUDGET
 from .verify import run_all
 
 SAFE_N_MAX = 10
@@ -324,14 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _result_to_csv(result) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if isinstance(result, dict) and "patterns" in result:
+    if isinstance(result, dict) and "patterns" in result and set(result) <= {"n", "patterns"}:
         writer.writerow(["pattern"])
         for pat in result["patterns"]:
             writer.writerow([pat])
     elif isinstance(result, dict):
+        # a pattern set with extra fields: one row per field, one per pattern
         writer.writerow(["field", "value"])
         for key, value in result.items():
-            writer.writerow([key, value])
+            if key == "patterns":
+                writer.writerows(["pattern", pat] for pat in value)
+            else:
+                writer.writerow([key, value])
     elif isinstance(result, list) and result and isinstance(result[0], dict):
         keys = list(result[0])
         writer.writerow(keys)
@@ -358,15 +354,12 @@ def _emit(core: dict, args, started: float) -> None:
     }
     if core.get("note"):
         envelope["note"] = core["note"]
-    if args.format == "csv":
-        text = _result_to_csv(envelope["result"])
-    else:
-        text = json.dumps(envelope, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            fh.write(_result_to_csv(envelope["result"]))
+        else:
+            json.dump(envelope, fh, indent=2)  # streamed, so a large report is never held twice
+            fh.write("\n")
 
 
 def run(argv=None) -> int:
@@ -382,23 +375,13 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         core, code = _HANDLERS[args.command](args)
+        _emit(core, args, started)
     except ResourceLimit as exc:
         print(f"patlab: resource limit: {exc}", file=sys.stderr)
         return 3
-    except (
-        BadParameter,
-        DuplicateValue,
-        OutOfDomain,
-        ParseError,
-        UnknownMap,
-        ValidationError,
-    ) as exc:
+    except (PatlabError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"patlab: {exc}", file=sys.stderr)
         return 2
-    except PatlabError as exc:  # anything else from the library is a validation fault
-        print(f"patlab: {exc}", file=sys.stderr)
-        return 2
-    _emit(core, args, started)
     return code
 
 

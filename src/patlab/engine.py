@@ -6,12 +6,24 @@ coincide.  A pattern is allowed when some point realizes it, forbidden
 otherwise, and basic forbidden when it is forbidden while both of its
 length-(n-1) windows are allowed.
 
-Everything runs on the orbit linearization: within a cell all iterates
-are affine, so the rank word is constant between consecutive crossing
-abscissae of the iterate graphs, and the crossings themselves carry no
-pattern at all (two orbit values are equal there).  Closed cell endpoints
-are evaluated individually, so patterns realized at isolated points are
-kept whenever the orbit values are pairwise distinct.
+Everything runs on one depth-first refinement walk over integers.  An
+item at depth k is an interval on which iterates 0..k are all affine and
+pairwise distinct, so their rank order is constant there; the item
+carries that order.  One step splits an item by the preimages of the
+map's pieces under its last iterate, then places the new iterate among
+the others.  Within an item the old iterates never cross, so the new one
+crosses each at most once and its rank moves by one at every crossing;
+the crossing points are ties and are dropped, and so is a tied endpoint.
+A tie at depth k is a tie at every later depth, so nothing dropped could
+realize a longer pattern.
+
+Arithmetic is integer only: with q the least common denominator of the
+map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
+integers A_j, B_j, and every endpoint is a pair (num, den) with den > 0,
+compared by cross-multiplication.
+
+The budget counts the items created at one depth (every segment between
+crossings is an item), so it bounds the time spent at the widest level.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
 is an allowed (n-1)-pattern extended by one final rank, which bounds the
@@ -21,66 +33,186 @@ candidate pool by n * |allowed(n-1)| instead of n!.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import Iterator
 
 from .errors import BadParameter, ResourceLimit
-from .intervals import clip_above, clip_below
 from .perms import PatternSet, Perm, all_perms, check_perm, reduce_values
-from .pwl import DEFAULT_CELL_BUDGET, OrbitCell, PwlMap, advance_cell, orbit_linearization
-from .intervals import Interval
+from .pwl import PwlMap
 
+DEFAULT_CELL_BUDGET = 4_000_000
 DEFAULT_MAX_FORBIDDEN_N = 10
 
-_allowed_cache: dict[tuple[PwlMap, int], PatternSet] = {}
+
+def walk(
+    m: PwlMap, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET, ranks=None
+) -> Iterator[tuple]:
+    """Yield every item of the refinement down to iterate `depth`, depth first.
+
+    An item is (k, lo_num, lo_den, hi_num, hi_den, lo_closed, hi_closed,
+    A, B, order): iterate j is (A[j] * x + B[j]) / A[0] on it, and order
+    lists the iterates 0..k from the smallest value up.  Items of one depth
+    tile [0, 1] except for the points where two of their iterates tie.
+    With `ranks`, only items whose order agrees with a pattern are kept:
+    ranks[k] is where iterate k must sit among iterates 0..k.
+    """
+    q = math.lcm(*(v.denominator for p in m.pieces for v in (p.lo, p.hi, p.slope, p.intercept)))
+    scale = q**depth
+    # (lo, hi) * Q, closed flags, slope * q, intercept * Q
+    pieces = [
+        (int(p.lo * scale), int(p.hi * scale), p.lo_closed, p.hi_closed,
+         int(p.slope * q), int(p.intercept * scale))
+        for p in m.pieces
+    ]
+    created = [0] * (depth + 1)
+    stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
+    while stack:
+        item = stack.pop()
+        yield item
+        k, ln, ld, hn, hd, lc, hc, A, B, order = item
+        if k == depth:
+            continue
+        k1 = k + 1
+        a, b = A[k], B[k]
+        target = None if ranks is None else ranks[k1]
+        for sln, sld, slc, shn, shd, shc, s, c in _split(pieces, a, b, ln, ld, lc, hn, hd, hc):
+            fa, fb = s * a // q, s * b // q + c
+            A1, B1 = A + (fa,), B + (fb,)
+            if sln * shd == shn * sld:
+                segments = _place_at_point(A, B, order, fa, fb, sln, sld, target)
+            else:
+                segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc, target)
+            for pln, pld, plc, phn, phd, phc, r in segments:
+                stack.append((k1, pln, pld, phn, phd, plc, phc, A1, B1,
+                              order[:r] + (k1,) + order[r:]))
+            created[k1] += len(segments)
+            if created[k1] > cell_budget:
+                raise ResourceLimit(
+                    f"refinement exceeded the cell budget of {cell_budget}: "
+                    f"{created[k1]} items at depth {k1} of {depth}"
+                )
 
 
-def _point_pattern(cell: OrbitCell, x: Fraction, sink: set[Perm]) -> None:
-    vals = cell.values_at(x)
-    if len(set(vals)) == len(vals):
-        sink.add(reduce_values(vals))
+def _split(pieces, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
+    """Cut an item by the pieces its last iterate a*x + b lands in, into
+    (lo, hi, flags, slope, intercept) of each part."""
+    if ln * hd == hn * ld:
+        y = a * ln + b * ld
+        for lo, hi, plc, phc, s, c in pieces:
+            if (y > lo * ld or plc and y == lo * ld) and (y < hi * ld or phc and y == hi * ld):
+                return [(ln, ld, True, hn, hd, True, s, c)]
+    out = []
+    # preimages of the pieces come left to right, so stop past the item
+    for lo, hi, plc, phc, s, c in pieces if a > 0 else reversed(pieces):
+        if a > 0:
+            pln, phn, den, pc_lo, pc_hi = lo - b, hi - b, a, plc, phc
+        else:
+            pln, phn, den, pc_lo, pc_hi = b - hi, b - lo, -a, phc, plc
+        t = phn * ld - ln * den
+        if t < 0 or t == 0 and not (pc_hi and lc):
+            continue
+        t = pln * hd - hn * den
+        if t > 0 or t == 0 and not (pc_lo and hc):
+            break
+        t = pln * ld - ln * den
+        sl = (pln, den, pc_lo) if t > 0 else (ln, ld, lc if t else lc and pc_lo)
+        t = phn * hd - hn * den
+        sh = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
+        t = sl[0] * sh[1] - sh[0] * sl[1]
+        if t < 0 or t == 0 and sl[2] and sh[2]:
+            out.append((*sl, *sh, s, c))
+    return out
 
 
-def _cell_patterns(cell: OrbitCell, sink: set[Perm]) -> None:
-    iv = cell.iv
-    if iv.is_point:
-        _point_pattern(cell, iv.lo, sink)
-        return
-    forms = cell.forms
-    if len(set(forms)) != len(forms):
-        # two iterates agree everywhere on the cell: no point has a pattern
-        return
-    crossings: set[Fraction] = set()
-    for i, (ai, bi) in enumerate(forms):
-        for aj, bj in forms[i + 1 :]:
-            if ai != aj:
-                t = (bj - bi) / (ai - aj)
-                if iv.lo < t < iv.hi:
-                    crossings.add(t)
-    marks = [iv.lo, *sorted(crossings), iv.hi]
-    for left, right in zip(marks, marks[1:]):
-        x = (left + right) / 2
-        sink.add(reduce_values(cell.values_at(x)))
-    if iv.lo_closed:
-        _point_pattern(cell, iv.lo, sink)
-    if iv.hi_closed:
-        _point_pattern(cell, iv.hi, sink)
+def _place_at_point(A, B, order, fa, fb, xn, xd, target) -> list[tuple]:
+    """The point item x = xn/xd with the new iterate ranked, or [] on a tie
+    (or when the rank is not `target`)."""
+    r = _rank_near(A, B, order, fa, fb, xn, xd, 1)
+    if _ties(A, B, order, r, fa, fb, xn, xd) or target not in (None, r):
+        return []
+    return [(xn, xd, True, xn, xd, True, r)]
+
+
+def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
+    """Rank of the new iterate just right (side 1) or left (side -1) of xn/xd."""
+    lo, hi = 0, len(order)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        j = order[mid]
+        da = fa - A[j]
+        d = da * xn + (fb - B[j]) * xd
+        if d > 0 or d == 0 and da * side > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _ties(A, B, order, r, fa, fb, xn, xd) -> bool:
+    # only the neighbours of the new iterate's rank can meet it at an endpoint
+    return any(fa * xn + fb * xd == A[j] * xn + B[j] * xd for j in order[max(r - 1, 0):r + 1])
+
+
+def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
+    """Cut an interval item at the new iterate's crossings with the old ones,
+    into segments (lo, hi, flags, rank of the new iterate); with `target`,
+    only the segment where the new iterate has that rank."""
+    r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
+    if r0 < len(order) and A[order[r0]] == fa and B[order[r0]] == fb:
+        return []  # the new iterate repeats an old one on the whole item
+    r1 = _rank_near(A, B, order, fa, fb, hn, hd, -1)
+    step = 1 if r1 >= r0 else -1
+    path = range(r0, r1 + step, step)
+    if target is not None:
+        path = (target,) if target in path else ()
+
+    def crossing(j):
+        num, den = B[j] - fb, fa - A[j]
+        return (num, den) if den > 0 else (-num, -den)
+
+    out = []
+    for r in path:
+        if r == r0:
+            left = (ln, ld, lc and not _ties(A, B, order, r0, fa, fb, ln, ld))
+        else:
+            left = (*crossing(order[r - 1] if step > 0 else order[r]), False)
+        if r == r1:
+            right = (hn, hd, hc and not _ties(A, B, order, r1, fa, fb, hn, hd))
+        else:
+            right = (*crossing(order[r] if step > 0 else order[r - 1]), False)
+        out.append((*left, *right, r))
+    return out
+
+
+def _word(order) -> Perm:
+    """The rank word of an order (iterate indices from the smallest value up)."""
+    word = [0] * len(order)
+    for rank, j in enumerate(order, start=1):
+        word[j] = rank
+    return tuple(word)
+
+
+def _allowed_words(m: PwlMap, depth: int, keep: tuple[int, ...], cell_budget: int):
+    """Allowed rank words of lengths d + 1 for each d in keep, from one walk."""
+    orders = {d: set() for d in keep}
+    for item in walk(m, depth, cell_budget):
+        sink = orders.get(item[0])
+        if sink is not None:
+            sink.add(item[-1])
+    words = []
+    for d in keep:
+        sink, found = orders.pop(d), set()
+        while sink:  # free each order as its word is made, to keep the peak low
+            found.add(_word(sink.pop()))
+        words.append(found)
+    return words
 
 
 def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
     """All length-n patterns realized by some orbit of the map."""
     if n < 1:
         raise BadParameter("n must be at least 1")
-    key = (m, n)
-    if cell_budget == DEFAULT_CELL_BUDGET and key in _allowed_cache:
-        return _allowed_cache[key]
-    lin = orbit_linearization(m, n, cell_budget)
-    found: set[Perm] = set()
-    for cell in lin.cells:
-        _cell_patterns(cell, found)
-    result = PatternSet.from_perms(n, found)
-    if cell_budget == DEFAULT_CELL_BUDGET:
-        _allowed_cache[key] = result
-    return result
+    (found,) = _allowed_words(m, n - 1, (n - 1,), cell_budget)
+    return PatternSet.from_perms(n, found)
 
 
 def exact_forbidden(
@@ -106,8 +238,7 @@ def exact_basic_forbidden(
     """Forbidden length-n patterns whose two length-(n-1) windows are both allowed."""
     if n < 2:
         raise BadParameter("basic forbidden patterns need n >= 2")
-    shorter = exact_allowed(m, n - 1, cell_budget)
-    full = exact_allowed(m, n, cell_budget)
+    shorter, full = _allowed_words(m, n - 1, (n - 2, n - 1), cell_budget)
     found: list[Perm] = []
     for alpha in shorter:
         for v in range(1, n + 1):
@@ -134,48 +265,12 @@ def shortest_forbidden_length(
 def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Exact check whether one specific pattern is realized by the map.
 
-    Walks the same cell refinement as orbit_linearization but discards any
-    cell whose iterate order already disagrees with the pattern prefix, so
-    single patterns stay cheap even at horizons where the full cell
-    complex would be enormous.
+    The same walk as exact_allowed, keeping only items whose order agrees
+    with the pattern's prefix and stopping at the first item of full
+    depth, so single patterns stay cheap even at horizons where the full
+    refinement would be enormous.
     """
     pi = check_perm(pattern)
-    n = len(pi)
-    identity = (Fraction(1), Fraction(0))
-    cells = [OrbitCell(Interval(Fraction(0), Fraction(1), True, True), (identity,))]
-    created = 0
-    for depth in range(1, n):
-        prefix_order = sorted(range(depth + 1), key=lambda idx: pi[idx])
-        nxt: list[OrbitCell] = []
-        for cell in cells:
-            for sub in advance_cell(m, cell):
-                constrained = _constrain(sub, prefix_order)
-                if constrained is not None:
-                    nxt.append(constrained)
-        created += len(nxt)
-        if created > cell_budget:
-            raise ResourceLimit(
-                f"pattern search exceeded the cell budget of {cell_budget}"
-            )
-        if not nxt:
-            return False
-        cells = nxt
-    return True
-
-
-def _constrain(cell: OrbitCell, prefix_order: list[int]) -> OrbitCell | None:
-    """Restrict a cell to the (strict) region realizing the given iterate order."""
-    iv = cell.iv
-    for low_idx, high_idx in zip(prefix_order, prefix_order[1:]):
-        a = cell.forms[low_idx][0] - cell.forms[high_idx][0]
-        b = cell.forms[low_idx][1] - cell.forms[high_idx][1]
-        # need a*x + b < 0
-        if a == 0:
-            if b >= 0:
-                return None
-            continue
-        root = -b / a
-        iv = clip_below(iv, root) if a > 0 else clip_above(iv, root)
-        if iv is None:
-            return None
-    return OrbitCell(iv, cell.forms) if iv is not cell.iv else cell
+    depth = len(pi) - 1
+    ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(len(pi))]
+    return any(item[0] == depth for item in walk(m, depth, cell_budget, ranks))

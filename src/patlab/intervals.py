@@ -44,22 +44,6 @@ def make_interval(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) 
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def intersect(a: Interval, b: Interval) -> Interval | None:
-    if a.lo > b.lo:
-        lo, lo_closed = a.lo, a.lo_closed
-    elif b.lo > a.lo:
-        lo, lo_closed = b.lo, b.lo_closed
-    else:
-        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
-    if a.hi < b.hi:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif b.hi < a.hi:
-        hi, hi_closed = b.hi, b.hi_closed
-    else:
-        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
-    return make_interval(lo, hi, lo_closed, hi_closed)
-
-
 def clip_below(iv: Interval, bound: Fraction, strict: bool = True) -> Interval | None:
     """Part of iv with x < bound (x <= bound when strict is False)."""
     if bound < iv.lo:

@@ -32,6 +32,15 @@ from .numeric import NumericMap
 from .pwl import PwlMap, PwlPiece, alt_sawtooth, sawtooth, tent
 
 ISOMORPHISM_NOTE = "exact results computed on the tent map via order-isomorphism"
+_PIECE_FIELDS = {"lo", "hi", "lo_closed", "hi_closed", "slope", "intercept"}
+_SPEC_FIELDS = {
+    "tent": {"type"},
+    "one_minus_x_squared": {"type"},
+    "sawtooth": {"type", "N"},
+    "alt_sawtooth": {"type", "N"},
+    "logistic": {"type", "r"},
+    "pwl": {"type", "pieces"},
+}
 _SHORTHAND = re.compile(r"^(tent|one_minus_x_squared|sawtooth:\d+|alt_sawtooth:\d+|logistic:[0-9.]+)$")
 
 
@@ -90,9 +99,17 @@ def _bool_field(piece: dict, field: str, default: bool) -> bool:
     return value
 
 
+def _reject_unknown(raw: dict, fields: set, where: str) -> None:
+    # the canonical spec keys the cache, so a field it would drop is an error
+    unknown = [key for key in raw if key not in fields]
+    if unknown:
+        raise ParseError(f"unknown field(s) in {where}: {', '.join(map(repr, unknown))}")
+
+
 def _piece_from_dict(raw: Any) -> PwlPiece:
     if not isinstance(raw, dict):
         raise ParseError("each piece must be a JSON object")
+    _reject_unknown(raw, _PIECE_FIELDS, "a piece")
     hi = _frac_field(raw, "hi")
     return PwlPiece(
         lo=_frac_field(raw, "lo"),
@@ -123,7 +140,11 @@ def _ramp_param(spec: dict) -> int:
 
 
 def _from_dict(spec: dict) -> LoadedMap:
+    if not isinstance(spec, dict):
+        raise ParseError("a map spec must be a JSON object")
     kind = spec.get("type")
+    if isinstance(kind, str) and kind in _SPEC_FIELDS:
+        _reject_unknown(spec, _SPEC_FIELDS[kind], f"a {kind} spec")
     if kind == "tent":
         return LoadedMap("tent", {"type": "tent"}, tent(), True)
     if kind == "sawtooth":

@@ -10,25 +10,15 @@ The sawtooth convention: ramps are half-open [lo, hi) and the endpoint
 x = 1 sits in its own zero-length piece with value 0, matching the mod-1
 definition.  Degenerate pieces are carried through every computation but
 are never treated as monotone ramps.
-
-orbit_linearization refines [0, 1] into cells on which the first
-`horizon` iterates are all affine; it is the workhorse behind the exact
-pattern engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import BadParameter, OutOfDomain, ResourceLimit, UnknownMap, ValidationError
-from .intervals import Interval, clip_above, clip_below, intersect
-
-DEFAULT_CELL_BUDGET = 1_000_000
-
-# An affine form a*x + b, stored as (a, b).
-Form = tuple[Fraction, Fraction]
+from .errors import BadParameter, OutOfDomain, UnknownMap, ValidationError
+from .intervals import Interval, clip_above, clip_below
 
 
 def _frac(value) -> Fraction:
@@ -274,77 +264,3 @@ def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
             if _piece_region(piece, orientation) is not None:
                 count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# orbit linearization
-
-
-@dataclass(frozen=True)
-class OrbitCell:
-    """A cell on which the first len(forms) iterates are all affine."""
-
-    iv: Interval
-    forms: tuple[Form, ...]
-
-    def values_at(self, x: Fraction) -> list[Fraction]:
-        return [a * x + b for a, b in self.forms]
-
-
-@dataclass(frozen=True)
-class OrbitLinearization:
-    horizon: int
-    cells: tuple[OrbitCell, ...]
-
-
-def _compose(piece: PwlPiece, form: Form) -> Form:
-    a, b = form
-    return (piece.slope * a, piece.slope * b + piece.intercept)
-
-
-def _preimage(piece_iv: Interval, form: Form) -> Interval:
-    a, b = form
-    if a > 0:
-        return Interval((piece_iv.lo - b) / a, (piece_iv.hi - b) / a,
-                        piece_iv.lo_closed, piece_iv.hi_closed)
-    return Interval((piece_iv.hi - b) / a, (piece_iv.lo - b) / a,
-                    piece_iv.hi_closed, piece_iv.lo_closed)
-
-
-def advance_cell(m: PwlMap, cell: OrbitCell) -> list[OrbitCell]:
-    """Split a cell so the next iterate is affine on each part, and append it."""
-    form = cell.forms[-1]
-    a, _ = form
-    if cell.iv.is_point:
-        value = form[0] * cell.iv.lo + form[1]
-        piece = m.piece_at(value)
-        return [OrbitCell(cell.iv, cell.forms + (_compose(piece, form),))]
-    if a == 0:
-        raise AssertionError("constant form on a cell of positive length")
-    out = []
-    for piece in m.pieces:
-        sub = intersect(cell.iv, _preimage(piece.interval, form))
-        if sub is not None:
-            out.append(OrbitCell(sub, cell.forms + (_compose(piece, form),)))
-    return out
-
-
-def orbit_linearization(
-    m: PwlMap, horizon: int, cell_budget: int = DEFAULT_CELL_BUDGET
-) -> OrbitLinearization:
-    """Partition [0, 1] into cells where iterates 0..horizon-1 are affine."""
-    if horizon < 1:
-        raise BadParameter("horizon must be at least 1")
-    identity: Form = (Fraction(1), Fraction(0))
-    cells = [OrbitCell(Interval(Fraction(0), Fraction(1), True, True), (identity,))]
-    for _ in range(horizon - 1):
-        nxt: list[OrbitCell] = []
-        for cell in cells:
-            nxt.extend(advance_cell(m, cell))
-            if len(nxt) > cell_budget:
-                raise ResourceLimit(
-                    f"orbit linearization exceeded the cell budget of {cell_budget}"
-                )
-        cells = nxt
-    cells.sort(key=lambda c: (c.iv.lo, not c.iv.lo_closed, c.iv.hi))
-    return OrbitLinearization(horizon, tuple(cells))

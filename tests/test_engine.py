@@ -8,6 +8,7 @@ is NOT in the catalog, so the pins cannot all be wrong together.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from patlab import (
     shortest_forbidden_length,
     tent,
 )
+from patlab.engine import walk
 
 F = Fraction
 
@@ -67,6 +69,12 @@ class TestAllowed:
     def test_cell_budget(self):
         with pytest.raises(ResourceLimit):
             exact_allowed(sawtooth(4), 9, cell_budget=50)
+
+    def test_budget_counts_items_of_one_depth(self):
+        widest = max(Counter(item[0] for item in walk(alt_sawtooth(3), 5)).values())
+        assert len(exact_allowed(alt_sawtooth(3), 6, cell_budget=widest)) == 300
+        with pytest.raises(ResourceLimit, match=f"{widest} items at depth 5 of 5"):
+            exact_allowed(alt_sawtooth(3), 6, cell_budget=widest - 1)
 
 
 class TestForbidden:

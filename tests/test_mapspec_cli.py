@@ -105,6 +105,12 @@ class TestLoadMapSpec:
         with pytest.raises(ParseError):
             load_map_spec("{not json")
 
+    def test_non_object_spec(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError):
+            load_map_spec(str(path))
+
 
 def run_cli(capsys, argv):
     code = run(argv)
@@ -207,6 +213,19 @@ class TestCli:
         lines = out.strip().splitlines()
         assert code == 0 and lines[0] == "pattern" and lines[1] == "321"
 
+    def test_csv_keeps_extra_fields(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "sample", "--map", "logistic:3.83", "--n", "4", "--grid", "3000",
+                "--random", "3000", "--scan-missing", "8", "--format", "csv",
+            ],
+        )
+        rows = out.strip().splitlines()
+        assert code == 0 and rows[:2] == ["field,value", "n,4"]
+        assert any(row.startswith("first_missing_cap,") for row in rows)
+        assert all(row.startswith("pattern,") for row in rows[2:-1])
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -249,11 +268,33 @@ class TestCliExitCodes:
         assert code == 3 and "budget" in err
 
     def test_cell_budget_limit(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys,
             ["allowed", "--map", "sawtooth:4", "--n", "9", "--cell-budget", "100"],
         )
-        assert code == 3
+        assert code == 3 and "items at depth" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run_cli(
+            capsys, ["basic", "--map", "tent", "--n", "4", "--out", str(target)]
+        )
+        assert code == 2 and out == "" and "missing-dir" in err
+
+    def test_map_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["basic", "--map", str(tmp_path), "--n", "3"])
+        assert code == 2 and err.startswith("patlab:")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"type": "tent", "extra": 1}',
+            '{"type": "pwl", "pieces": [{"lo": "0", "hi": "1", "slope": "1", "hi_closd": true}]}',
+        ],
+    )
+    def test_unknown_spec_field(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
+        assert code == 2 and out == "" and "unknown field" in err
 
     def test_usage_error(self, capsys):
         # argparse reports unknown flags on stderr and exits 2

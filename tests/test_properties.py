@@ -1,0 +1,94 @@
+"""Property tests of the exact engine on random small rational PWL maps.
+
+The maps have two or three ramps on a grid of twelfths, with random
+ownership of every breakpoint (so jumps land on either side), and may
+carry a zero-length point piece at a breakpoint or at an end of [0, 1].
+Each property is checked against exact Fraction orbits or against
+another entry point of the engine.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patlab import (
+    PwlMap,
+    PwlPiece,
+    all_perms,
+    exact_allowed,
+    is_realized,
+    reduce_values,
+)
+from patlab.engine import walk
+
+F = Fraction
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pwl_maps(draw):
+    cuts = draw(st.lists(st.integers(1, 11), min_size=1, max_size=2, unique=True))
+    edges = [F(0), *sorted(F(c, 12) for c in cuts), F(1)]
+    point_at = draw(st.sampled_from([None, *edges]))
+    heights = st.integers(0, 6).map(lambda k: F(k, 6))
+    pieces = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        y_lo = draw(heights)
+        y_hi = draw(heights.filter(lambda y: y != y_lo))
+        slope = (y_hi - y_lo) / (hi - lo)
+        # a breakpoint belongs to the ramp on its left or its right, or to a point piece
+        lo_closed = lo != point_at and (i == 0 or not pieces[-1].hi_closed)
+        hi_closed = hi != point_at and (hi == 1 or draw(st.booleans()))
+        pieces.append(PwlPiece(lo, hi, lo_closed, hi_closed, slope, y_lo - slope * lo))
+    if point_at is not None:
+        pieces.append(PwlPiece(point_at, point_at, True, True, 0, draw(heights)))
+    return PwlMap(tuple(pieces))
+
+
+def orbit(m, x, n):
+    values = [x]
+    while len(values) < n:
+        values.append(m(values[-1]))
+    return values
+
+
+@PROPERTY
+@given(pwl_maps(), st.integers(2, 5))
+def test_grid_orbits_are_allowed(m, n):
+    allowed = exact_allowed(m, n)
+    for i in range(98):
+        values = orbit(m, F(i, 97), n)
+        if len(set(values)) == n:
+            assert reduce_values(values) in allowed
+
+
+@PROPERTY
+@given(pwl_maps(), st.integers(2, 5))
+def test_every_allowed_pattern_has_a_witness(m, n):
+    """Each item of the last depth holds a point realizing its order."""
+    witnessed = set()
+    for k, ln, ld, hn, hd, _, _, _, _, order in walk(m, n - 1):
+        if k == n - 1:
+            values = orbit(m, (F(ln, ld) + F(hn, hd)) / 2, n)
+            assert [values[j] for j in order] == sorted(values)
+            assert len(set(values)) == n
+            witnessed.add(reduce_values(values))
+    assert witnessed == set(exact_allowed(m, n))
+
+
+@PROPERTY
+@given(pwl_maps(), st.integers(3, 6))
+def test_windows_of_allowed_patterns_are_allowed(m, n):
+    shorter = exact_allowed(m, n - 1)
+    for p in exact_allowed(m, n):
+        assert reduce_values(p[:-1]) in shorter
+        assert reduce_values(p[1:]) in shorter
+
+
+@PROPERTY
+@given(pwl_maps(), st.integers(1, 5))
+def test_is_realized_matches_allowed(m, n):
+    allowed = exact_allowed(m, n)
+    for p in all_perms(n):
+        assert is_realized(m, p) == (p in allowed), p

@@ -1,5 +1,5 @@
 """Exact piecewise-linear maps: catalog shapes, validation, diagonal geometry,
-and the orbit linearization that the pattern engine is built on."""
+and the refinement walk that the pattern engine is built on."""
 
 import random
 from fractions import Fraction
@@ -17,11 +17,11 @@ from patlab import (
     catalog,
     descent_components,
     diagonal_region,
-    orbit_linearization,
     refined_piece_count,
     sawtooth,
     tent,
 )
+from patlab.engine import walk
 
 F = Fraction
 
@@ -154,50 +154,72 @@ class TestDiagonalGeometry:
         assert refined_piece_count(alt_sawtooth(3), "below") == 2
 
 
+def items_at(m, depth):
+    """Items of the engine's walk at one depth as (lo, hi, lo_closed,
+    hi_closed, A, B, order), sorted along [0, 1]."""
+    out = [
+        (F(ln, ld), F(hn, hd), lc, hc, A, B, order)
+        for k, ln, ld, hn, hd, lc, hc, A, B, order in walk(m, depth)
+        if k == depth
+    ]
+    return sorted(out, key=lambda it: (it[0], not it[2], it[1]))
+
+
+def orbit(m, x, depth):
+    values = [x]
+    for _ in range(depth):
+        values.append(m(values[-1]))
+    return values
+
+
 class TestOrbitLinearization:
+    """The refinement walk of the exact engine: on each item the iterates
+    are affine and strictly ordered, and ties are cut out."""
+
     def test_tent_depth_three_breakpoints(self):
-        lin = orbit_linearization(tent(), 3)
-        interior = sorted({c.iv.lo for c in lin.cells} - {F(0)})
-        assert interior == [F(1, 4), F(1, 2), F(3, 4)]
+        bounds = {it[0] for it in items_at(tent(), 2)} | {it[1] for it in items_at(tent(), 2)}
+        # the preimages of 1/2 plus every tie among x, f(x), f(f(x)) inside (0, 1)
+        assert sorted(bounds - {0, 1}) == [
+            F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(2, 3), F(3, 4), F(4, 5)
+        ]
 
     def test_degenerate_endpoint_cell(self):
-        # the {1} point piece of the sawtooth survives as its own cell
-        lin = orbit_linearization(sawtooth(2), 2)
-        assert len(lin.cells) == 3
-        assert any(c.iv.is_point for c in lin.cells)
+        # the {1} point piece of the sawtooth survives as its own item
+        items = items_at(sawtooth(2), 1)
+        assert len(items) == 3
+        assert items[-1][:2] == (1, 1)
 
     def test_forms_match_iteration(self):
-        """Stored affine forms must reproduce honest iterated evaluation."""
+        """Stored integer forms must reproduce honest iterated evaluation, in
+        the stored order and free of ties, at closed endpoints too."""
         rng = random.Random(5)
         for m in (tent(), sawtooth(3), alt_sawtooth(5)):
-            lin = orbit_linearization(m, 5)
-            for cell in lin.cells:
-                xs = []
-                if cell.iv.is_point:
-                    xs = [cell.iv.lo]
-                else:
-                    span = cell.iv.hi - cell.iv.lo
-                    xs = [
-                        cell.iv.lo + span * F(rng.randint(1, 99), 100)
-                        for _ in range(3)
-                    ]
+            for lo, hi, lc, hc, A, B, order in items_at(m, 4):
+                xs = [lo + (hi - lo) * F(rng.randint(1, 99), 100) for _ in range(2)]
+                xs += [x for x, closed in ((lo, lc), (hi, hc)) if closed]
                 for x in xs:
-                    vals = cell.values_at(x)
-                    y = x
-                    for v in vals:
-                        assert v == y
-                        y = m(y)
+                    values = orbit(m, x, 4)
+                    assert [(a * x + b) / A[0] for a, b in zip(A, B)] == values
+                    assert [values[j] for j in order] == sorted(values)
+                    assert len(set(values)) == len(values)
 
     def test_cells_partition_domain(self):
+        """Items tile [0, 1] but for the points where two iterates tie."""
         for m in (tent(), sawtooth(2), alt_sawtooth(3)):
-            for horizon in (1, 2, 4):
-                cells = orbit_linearization(m, horizon).cells
-                assert cells[0].iv.lo == 0 and cells[0].iv.lo_closed
-                assert cells[-1].iv.hi == 1 and cells[-1].iv.hi_closed
-                for left, right in zip(cells, cells[1:]):
-                    assert left.iv.hi == right.iv.lo
-                    assert left.iv.hi_closed != right.iv.lo_closed
+            for depth in (0, 1, 3):
+                items = items_at(m, depth)
+                assert items[0][0] == 0 and items[-1][1] == 1
+                tied = lambda x: len(set(orbit(m, x, depth))) <= depth
+                if not items[0][2]:
+                    assert tied(F(0))
+                if not items[-1][3]:
+                    assert tied(F(1))
+                for left, right in zip(items, items[1:]):
+                    assert left[1] == right[0]
+                    assert not (left[3] and right[2])
+                    if not (left[3] or right[2]):
+                        assert tied(left[1])
 
     def test_cell_budget(self):
-        with pytest.raises(ResourceLimit):
-            orbit_linearization(sawtooth(4), 8, cell_budget=100)
+        with pytest.raises(ResourceLimit, match="items at depth"):
+            list(walk(sawtooth(4), 7, cell_budget=100))
