@@ -1,10 +1,13 @@
 """On-disk result cache for exact pattern sets.
 
 Enabled by setting PATLAB_CACHE_DIR.  Entries are keyed by the SHA-256 of
-(canonical map spec, operation name, n, engine version) and hold the
-canonical JSON of the result, so a cache hit is byte-identical to a fresh
-computation.  Writes go through a temp file and rename, so a crashed run
-cannot leave a truncated entry.
+the key inputs (canonical map spec, operation name, n, engine version).
+Each entry is a record holding those inputs, the canonical JSON of the
+result as its body, and the SHA-256 of that body.  An entry is served
+only if it names the same inputs and its body matches the hash, so a
+truncated, hand-edited or misplaced entry is never trusted.  Writes go
+through a temp file and rename, so a crashed run cannot leave a
+truncated entry.
 """
 
 from __future__ import annotations
@@ -21,13 +24,20 @@ def cache_dir() -> str | None:
     return os.environ.get(ENV_VAR) or None
 
 
-def cache_key(spec_json: str, op: str, n: int, version: str) -> str:
-    payload = json.dumps(
-        {"n": n, "op": op, "spec": json.loads(spec_json), "version": version},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def canonical_json(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def key_inputs(spec_json: str, op: str, n: int, version: str) -> dict:
+    return {"n": n, "op": op, "spec": json.loads(spec_json), "version": version}
+
+
+def cache_key(inputs: dict) -> str:
+    return _sha256(canonical_json(inputs))
 
 
 def _path(directory: str, key: str) -> str:
@@ -41,7 +51,7 @@ def load(key: str) -> str | None:
     try:
         with open(_path(directory, key), encoding="utf-8") as fh:
             return fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
 
 
@@ -60,3 +70,28 @@ def store(key: str, text: str) -> None:
             os.unlink(tmp)
         except OSError:
             pass
+
+
+def fetch(inputs: dict):
+    """The decoded body stored for these key inputs, or None.
+
+    None also stands for an entry that fails its check: it must be a
+    record naming the same key inputs, whose body matches its SHA-256.
+    """
+    text = load(cache_key(inputs))
+    if text is None:
+        return None
+    try:
+        record = json.loads(text)
+        body = record["body"]
+        if record["inputs"] != inputs or record["sha256"] != _sha256(body):
+            return None
+        return json.loads(body)
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None  # not a record, or a body that is not JSON
+
+
+def keep(inputs: dict, body: str) -> None:
+    """Store body, the canonical JSON of a result, as the record for inputs."""
+    record = {"body": body, "inputs": inputs, "sha256": _sha256(body)}
+    store(cache_key(inputs), canonical_json(record))

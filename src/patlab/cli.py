@@ -66,22 +66,15 @@ def _guard_n(value: int, flag: str, unsafe: bool) -> None:
         )
 
 
-def _canonical_result_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def _cached_pattern_set(lm, op: str, n: int, compute) -> dict:
-    spec_json = serialize(lm)
-    key = cache.cache_key(spec_json, op, n, __version__)
-    text = cache.load(key)
-    if text is not None:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            pass  # truncated or hand-edited entry: recompute and overwrite
-    text = _canonical_result_json(compute().to_json())
-    cache.store(key, text)
-    return json.loads(text)
+    inputs = cache.key_inputs(serialize(lm), op, n, __version__)
+    result = cache.fetch(inputs)
+    if isinstance(result, dict) and result.get("n") == n:
+        return result
+    # missing, corrupt or tampered entry: recompute and overwrite
+    body = cache.canonical_json(compute().to_json())
+    cache.keep(inputs, body)
+    return json.loads(body)
 
 
 # ---------------------------------------------------------------------------

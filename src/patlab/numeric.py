@@ -11,6 +11,17 @@ Orbits with two iterates closer than a tie tolerance are discarded whole:
 the pattern of a tied orbit is undefined, and a false pattern is worse
 than a lost sample.
 
+Start points are streamed in chunks of at most _CHUNK, so no more than
+one chunk of them and its orbits is held at a time.  Within a chunk,
+each orbit is argsorted once; that argsort serves the tie check, and the
+argsort rows (inverse patterns) are deduplicated by a lexicographic row
+sort before the distinct ones are turned into rank words.  The cap scan
+needs no sort at all: one pass over the start points steps the orbits
+and tests every length up to n_max as it goes, dropping each orbit once
+it can realize no longer cap.  pattern_at computes its orbit with the
+same helper as sampled_allowed, so one start point gets the same
+pattern in both.
+
 >>> lm = NumericMap.logistic(4.0)
 >>> format_perm(pattern_at(lm, 0.8, 4))
 '3241'
@@ -18,12 +29,13 @@ than a lost sample.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, OutOfDomain, TieDetected, ValidationError
-from .perms import PatternSet, Perm, format_perm, reduce_values
+from .perms import PatternSet, Perm, format_perm
 from .pwl import PwlMap
 
 DEFAULT_TIE_EPSILON = 1e-12
@@ -35,10 +47,12 @@ _CHUNK = 1 << 15
 class SampleConfig:
     """How many orbits to sample and how to seed them.
 
-    grid_count equally spaced interior points j/(grid_count+1) plus
-    random_count seeded uniform points.  The defaults saturate the
-    length-5 allowed sets of the catalog maps in under a second while
-    staying reproducible.
+    grid_count equally spaced interior points j/(grid_count+1), then
+    random_count uniform points from a Philox stream seeded with seed.
+    Points are generated chunk by chunk, and Philox yields the same
+    stream in pieces, so results do not depend on the chunk size.  The
+    defaults saturate the length-5 allowed sets of the catalog maps in a
+    fraction of a second while staying reproducible.
     """
 
     grid_count: int = 100_000
@@ -118,6 +132,38 @@ class NumericMap:
         return float(self.step(np.asarray([x]))[0])
 
 
+def _orbits(nm: NumericMap, pts: np.ndarray, n: int) -> np.ndarray:
+    """Orbit matrix: row i holds the first n iterates of pts[i]."""
+    orbit = np.empty((len(pts), n))
+    orbit[:, 0] = pts
+    for i in range(1, n):
+        orbit[:, i] = nm.step(orbit[:, i - 1])
+    return orbit
+
+
+def _untied_orders(orbit: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise argsort of orbit, keeping the rows whose sorted values are eps apart.
+
+    Each kept row lists positions from the smallest value to the largest,
+    the inverse of the row's pattern.
+    """
+    order = np.argsort(orbit, axis=1)
+    gaps = np.diff(np.take_along_axis(orbit, order, axis=1), axis=1)
+    # the narrowest integer type keeps the later row sorts cheap
+    return order[(gaps >= eps).all(axis=1)].astype(np.min_scalar_type(orbit.shape[1] - 1))
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d integer array, in lexicographic order."""
+    if len(rows) < 2:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(len(rows), dtype=bool)
+    keep[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
 def pattern_at(
     nm: NumericMap, x: float, n: int, tie_epsilon: float = DEFAULT_TIE_EPSILON
 ) -> Perm:
@@ -131,42 +177,28 @@ def pattern_at(
         raise OutOfDomain(f"start point {x} outside [0,1]")
     if n < 1:
         raise BadParameter("n must be at least 1")
-    orbit = [float(x)]
-    for _ in range(n - 1):
-        orbit.append(nm(orbit[-1]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(orbit[i] - orbit[j]) < tie_epsilon:
-                raise TieDetected(
-                    f"orbit values {i} and {j} within {tie_epsilon} of each other"
-                )
-    return reduce_values(orbit)
+    orbit = _orbits(nm, np.asarray([x], dtype=np.float64), n)[0]
+    order = np.argsort(orbit)
+    # float subtraction is monotone, so the closest pair of values is
+    # adjacent in sorted order
+    gaps = np.diff(orbit[order])
+    if n > 1 and gaps.min() < tie_epsilon:
+        k = int(gaps.argmin())
+        i, j = sorted((int(order[k]), int(order[k + 1])))
+        raise TieDetected(f"orbit values {i} and {j} within {tie_epsilon} of each other")
+    return tuple((np.argsort(order) + 1).tolist())
 
 
-def _sample_points(cfg: SampleConfig) -> np.ndarray:
-    parts = []
-    if cfg.grid_count:
-        g = cfg.grid_count
-        parts.append(np.arange(1, g + 1, dtype=np.float64) / (g + 1))
-    if cfg.random_count:
-        # counter-based generator: partitioning the index range cannot
-        # change the stream, so results are independent of chunking
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
-        parts.append(rng.random(cfg.random_count))
-    return np.concatenate(parts)
-
-
-def _orbit_patterns(nm: NumericMap, pts: np.ndarray, n: int, eps: float) -> set[Perm]:
-    orbit = np.empty((len(pts), n))
-    orbit[:, 0] = pts
-    for i in range(1, n):
-        orbit[:, i] = nm.step(orbit[:, i - 1])
-    if n == 1:
-        return {(1,)} if len(pts) else set()
-    ordered = np.sort(orbit, axis=1)
-    clean = np.min(np.diff(ordered, axis=1), axis=1) >= eps
-    ranks = np.argsort(np.argsort(orbit[clean], axis=1), axis=1) + 1
-    return {tuple(int(v) for v in row) for row in np.unique(ranks, axis=0)}
+def _sample_points(cfg: SampleConfig) -> Iterator[np.ndarray]:
+    """Start points in chunks of at most _CHUNK: the grid, then the seeded draws."""
+    g = cfg.grid_count
+    for start in range(0, g, _CHUNK):
+        yield np.arange(start + 1, min(start + _CHUNK, g) + 1, dtype=np.float64) / (g + 1)
+    # counter-based generator: drawing the stream in pieces cannot change
+    # it, so results are independent of chunking
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    for start in range(0, cfg.random_count, _CHUNK):
+        yield rng.random(min(_CHUNK, cfg.random_count - start))
 
 
 def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> PatternSet:
@@ -177,10 +209,10 @@ def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> 
     if n < 1:
         raise BadParameter("n must be at least 1")
     cfg = cfg or SampleConfig()
-    pts = _sample_points(cfg)
     found: set[Perm] = set()
-    for start in range(0, len(pts), _CHUNK):
-        found |= _orbit_patterns(nm, pts[start : start + _CHUNK], n, cfg.tie_epsilon)
+    for pts in _sample_points(cfg):
+        orders = _unique_rows(_untied_orders(_orbits(nm, pts, n), cfg.tie_epsilon))
+        found.update(map(tuple, (np.argsort(orders, axis=1) + 1).tolist()))
     return PatternSet.from_perms(n, found)
 
 
@@ -201,7 +233,25 @@ def first_missing_cap(
     """
     if n_max < 3:
         raise BadParameter("n_max must be at least 3")
-    for n in range(3, n_max + 1):
-        if cap_pattern(n) not in sampled_allowed(nm, n, cfg):
-            return n
-    return None
+    cfg = cfg or SampleConfig()
+    eps = cfg.tie_epsilon
+    seen: set[int] = set()
+    for pts in _sample_points(cfg):
+        # cap(n) sorts as x_1 < ... < x_{n-2} < x_0 < x_{n-1}, so an orbit
+        # realizes it untied iff each of those steps rises by eps.  One pass
+        # steps the orbits, holding x_0, x_{n-2} and x_{n-1}, and keeps only
+        # those whose x_1, ..., x_{n-2} still rise: no other can realize a
+        # longer cap.
+        x0 = pts
+        lo = nm.step(x0)
+        hi = nm.step(lo)
+        for n in range(3, n_max + 1):
+            if n not in seen and np.any((x0 - lo >= eps) & (hi - x0 >= eps)):
+                seen.add(n)
+            rising = hi - lo >= eps
+            if not rising.any():
+                break
+            x0, lo, hi = x0[rising], hi[rising], nm.step(hi[rising])
+        if len(seen) == n_max - 2:
+            return None
+    return next(n for n in range(3, n_max + 1) if n not in seen)

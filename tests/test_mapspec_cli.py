@@ -1,5 +1,6 @@
 """Map-spec ingestion, the command-line surface, and the on-disk cache."""
 
+import hashlib
 import json
 import os
 
@@ -313,7 +314,7 @@ class TestCache:
         assert code2 == 0
         r1, r2 = json.loads(out1)["result"], json.loads(out2)["result"]
         canon = lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))
-        assert canon(r1) == canon(r2) == stored
+        assert canon(r1) == canon(r2) == json.loads(stored)["body"]
 
     def test_key_varies_with_n_and_map(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PATLAB_CACHE_DIR", str(tmp_path))
@@ -332,6 +333,59 @@ class TestCache:
         assert code == 0
         assert json.loads(out2)["result"] == json.loads(out1)["result"]
         assert entry.read_text() == good
+
+    BASIC4 = ["basic", "--map", "tent", "--n", "4"]
+
+    def assert_recomputed(self, capsys, tmp_path, monkeypatch, forge):
+        """Replace the one cache entry by forge(record) and check the next run
+        recomputes the answer and restores the entry."""
+        monkeypatch.setenv("PATLAB_CACHE_DIR", str(tmp_path))
+        _, out1, _ = run_cli(capsys, self.BASIC4)
+        (entry,) = list(tmp_path.iterdir())
+        good = entry.read_text()
+        forged = forge(json.loads(good))
+        if isinstance(forged, bytes):
+            entry.write_bytes(forged)
+        else:
+            entry.write_text(forged)
+        code, out2, _ = run_cli(capsys, self.BASIC4)
+        assert code == 0
+        assert json.loads(out2)["result"] == json.loads(out1)["result"]
+        assert entry.read_text() == good
+
+    @pytest.mark.parametrize("forged", ['{"n":4,"patterns":["1234"]}', "[1,2]"])
+    def test_valid_json_but_wrong_entry_recomputed(self, capsys, tmp_path, monkeypatch, forged):
+        self.assert_recomputed(capsys, tmp_path, monkeypatch, lambda record: forged)
+
+    def test_undecodable_entry_recomputed(self, capsys, tmp_path, monkeypatch):
+        self.assert_recomputed(capsys, tmp_path, monkeypatch, lambda record: b"\xff\xfe not utf-8")
+
+    def test_edited_body_recomputed(self, capsys, tmp_path, monkeypatch):
+        def forge(record):
+            first = json.loads(record["body"])["patterns"][0]
+            return json.dumps(dict(record, body=record["body"].replace(first, "1234")))
+
+        self.assert_recomputed(capsys, tmp_path, monkeypatch, forge)
+
+    @pytest.mark.parametrize(
+        "op, body",
+        [
+            ("allowed", '{"n":4,"patterns":["1234"]}'),  # a record of another operation
+            ("basic", '{"n":3,"patterns":["123"]}'),  # a body of another length
+            ("basic", "[1,2]"),  # a body that is no pattern set
+        ],
+    )
+    def test_rehashed_record_recomputed(self, capsys, tmp_path, monkeypatch, op, body):
+        def forge(record):
+            assert record["inputs"]["op"] == "basic" and record["inputs"]["n"] == 4
+            assert record["sha256"] == hashlib.sha256(record["body"].encode()).hexdigest()
+            return json.dumps({
+                "body": body,
+                "inputs": dict(record["inputs"], op=op),
+                "sha256": hashlib.sha256(body.encode()).hexdigest(),
+            })
+
+        self.assert_recomputed(capsys, tmp_path, monkeypatch, forge)
 
     def test_disabled_without_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PATLAB_CACHE_DIR", raising=False)

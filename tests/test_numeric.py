@@ -19,6 +19,7 @@ from patlab import (
     first_missing_cap,
     pattern_at,
     sampled_allowed,
+    sawtooth,
     tent,
 )
 from patlab import numeric as numeric_mod
@@ -160,5 +161,92 @@ class TestCapScan:
         assert first == first_missing_cap(lm, 7, SMALL)
         assert first is not None and 3 <= first <= 7
 
+    def test_long_scan_stays_small(self):
+        # the scan steps orbits one iterate at a time and stops when no
+        # orbit can realize a longer cap: n_max sizes no array
+        lm = NumericMap.logistic(3.83)
+        assert first_missing_cap(lm, 1_000_000, SMALL) == first_missing_cap(lm, 9, SMALL) == 5
+
     def test_full_logistic_never_misses_small_caps(self):
         assert first_missing_cap(NumericMap.logistic(4.0), 5, SMALL) is None
+
+
+def start_points(cfg):
+    """The sampler's start points, built without the sampler: grid, then Philox draws."""
+    g = cfg.grid_count
+    grid = [j / (g + 1) for j in range(1, g + 1)]
+    draws = np.random.Generator(np.random.Philox(cfg.seed)).random(cfg.random_count)
+    return grid + draws.tolist()
+
+
+def pointwise_patterns(nm, n, cfg):
+    """pattern_at over every start point, tied orbits skipped; also the tie count."""
+    found, ties = set(), 0
+    for x in start_points(cfg):
+        try:
+            found.add(pattern_at(nm, x, n, cfg.tie_epsilon))
+        except TieDetected:
+            ties += 1
+    return found, ties
+
+
+class TestPointwiseOracle:
+    """The vectorized sampler against pattern_at, one start point at a time."""
+
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_tent_on_a_dyadic_grid(self, n):
+        # j/1024 reaches the fixed point 0 within eleven steps, so many orbits tie
+        cfg = SampleConfig(grid_count=1023, random_count=0)
+        expected, ties = pointwise_patterns(NumericMap.from_pwl(tent()), n, cfg)
+        assert ties > 0
+        assert set(sampled_allowed(NumericMap.from_pwl(tent()), n, cfg)) == expected
+
+    @pytest.mark.parametrize("r, n, eps", [(3.99, 14, 1e-12), (4.0, 20, 1e-12), (3.7, 8, 1e-3)])
+    def test_logistic_long_orbits(self, r, n, eps):
+        cfg = SampleConfig(grid_count=1500, random_count=1500, seed=4, tie_epsilon=eps)
+        expected, ties = pointwise_patterns(NumericMap.logistic(r), n, cfg)
+        got = set(sampled_allowed(NumericMap.logistic(r), n, cfg))
+        assert len(got) > 50 and ties < 3000
+        assert got == expected
+
+
+def cap_scan_oracle(nm, n_max, cfg):
+    return min(
+        (n for n in range(3, n_max + 1) if cap_pattern(n) not in sampled_allowed(nm, n, cfg)),
+        default=None,
+    )
+
+
+CAP_MAPS = {
+    "logistic:3.5": NumericMap.logistic(3.5),
+    "logistic:3.83": NumericMap.logistic(3.83),
+    "logistic:3.99": NumericMap.logistic(3.99),
+    "logistic:4": NumericMap.logistic(4.0),
+    "one_minus_x_squared": NumericMap.one_minus_x_squared(),
+    "tent": NumericMap.from_pwl(tent()),
+    "sawtooth:2": NumericMap.from_pwl(sawtooth(2)),
+    "sawtooth:3": NumericMap.from_pwl(sawtooth(3)),
+}
+
+
+class TestCapScanOracle:
+    """first_missing_cap's single orbit pass against one sampled_allowed per length."""
+
+    @pytest.mark.parametrize("n_max", [6, 9])
+    @pytest.mark.parametrize("seed, eps", [(2, 1e-12), (7, 1e-12), (2, 0.06)])
+    @pytest.mark.parametrize("name", sorted(CAP_MAPS))
+    def test_matches_per_length_sampling(self, name, seed, eps, n_max, monkeypatch):
+        nm = CAP_MAPS[name]
+        cfg = SampleConfig(grid_count=2000, random_count=1000, seed=seed, tie_epsilon=eps)
+        expected = cap_scan_oracle(nm, n_max, cfg)
+        assert first_missing_cap(nm, n_max, cfg) == expected
+        # 2000 is no multiple of 777: the last grid chunk is a short one
+        monkeypatch.setattr(numeric_mod, "_CHUNK", 777)
+        assert first_missing_cap(nm, n_max, cfg) == expected
+        assert cap_scan_oracle(nm, n_max, cfg) == expected
+
+    def test_scan_values_vary(self):
+        # the oracle comparison above is only worth something if answers differ
+        cfg = SampleConfig(grid_count=2000, random_count=1000, seed=2)
+        values = {first_missing_cap(nm, n_max, cfg) for nm in CAP_MAPS.values() for n_max in (6, 9)}
+        assert None in values and len(values) >= 5
