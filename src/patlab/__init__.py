@@ -17,7 +17,6 @@ from .bounds import (
     basis_length_check,
     basis_obstruction,
     in_witness_class,
-    multinomial_blocks,
     shortest_bound,
     witness,
 )
@@ -65,7 +64,6 @@ from .pwl import (
     PwlPiece,
     alt_sawtooth,
     ascent_components,
-    catalog,
     descent_components,
     diagonal_region,
     refined_piece_count,
@@ -100,7 +98,6 @@ __all__ = [
     "basis_length_check",
     "basis_obstruction",
     "cap_pattern",
-    "catalog",
     "contains",
     "count_avoiders",
     "descent_components",
@@ -114,7 +111,6 @@ __all__ = [
     "is_antichain",
     "is_realized",
     "load_map_spec",
-    "multinomial_blocks",
     "parse_perm",
     "pattern_at",
     "reduce_values",

@@ -151,19 +151,6 @@ def basis_length_check(lengths: Iterable[int]) -> AntichainLengthCheck:
     return AntichainLengthCheck(ks, half_min, total, required, total >= required)
 
 
-def multinomial_blocks(block_size: int, blocks: int) -> int:
-    """(r*h)! / (h!)^r: orderings of r blocks of h values with blocks interleaved.
-
-    This is the count of length r*h permutations whose r consecutive
-    blocks each appear in a prescribed relative order, the growth rate
-    against which basis length budgets are compared.
-    """
-    h, r = int(block_size), int(blocks)
-    if h < 1 or r < 1:
-        raise BadParameter("block size and block count must be at least 1")
-    return math.factorial(r * h) // math.factorial(h) ** r
-
-
 def basis_obstruction(patterns: Iterable[Sequence[int]], m_max: int) -> list[int]:
     """Orders m <= m_max whose refined witness avoids every given pattern.
 

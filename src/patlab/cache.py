@@ -59,17 +59,19 @@ def store(key: str, text: str) -> None:
     directory = cache_dir()
     if directory is None:
         return
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, _path(directory, key))
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except OSError:  # an unusable cache directory only costs the reuse
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def fetch(inputs: dict):

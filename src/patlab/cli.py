@@ -8,7 +8,8 @@ stdout or --out; --format csv flattens just the result.  Exit codes:
 
 Exact subcommands cap n at 10 unless --unsafe is given: beyond that the
 refinement grows roughly like (piece count)^n and is a deliberate
-act, not a typo.  Set PATLAB_CACHE_DIR to reuse exact pattern sets across
+act, not a typo.  `forbidden` also counts its n! candidates against
+--cell-budget.  Set PATLAB_CACHE_DIR to reuse exact pattern sets across
 runs; entries are keyed by map spec, operation, n, and engine version.
 """
 
@@ -19,7 +20,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -82,7 +82,7 @@ def _cached_pattern_set(lm, op: str, n: int, compute) -> dict:
 
 _EXACT_OPS = {
     "allowed": exact_allowed,
-    "forbidden": None,  # needs the max_n knob, handled inline
+    "forbidden": exact_forbidden,
     "basic": exact_basic_forbidden,
 }
 
@@ -91,12 +91,8 @@ def _cmd_pattern_set(args) -> tuple[dict, int]:
     lm = load_map_spec(args.map)
     m = lm.require_exact()
     _guard_n(args.n, "--n", args.unsafe)
-    op = args.command
-    if op == "forbidden":
-        compute = lambda: exact_forbidden(m, args.n, args.cell_budget, max_n=args.n)
-    else:
-        compute = lambda: _EXACT_OPS[op](m, args.n, args.cell_budget)
-    result = _cached_pattern_set(lm, op, args.n, compute)
+    compute = lambda: _EXACT_OPS[args.command](m, args.n, args.cell_budget)
+    result = _cached_pattern_set(lm, args.command, args.n, compute)
     return {"map": lm.label, "n": args.n, "exact": True, "result": result, "note": lm.note}, 0
 
 
@@ -118,10 +114,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
 def _cmd_avoiders(args) -> tuple[dict, int]:
     patterns = _parse_patterns(args.patterns)
     _guard_n(args.n, "--n", args.unsafe)
-    if args.count_only:
-        result = count_avoiders(patterns, args.n, args.node_budget)
-    else:
-        result = avoiders(patterns, args.n, args.node_budget).to_json()
+    result = avoiders(patterns, args.n, args.node_budget).to_json()
     return {"map": None, "n": args.n, "exact": True, "result": result}, 0
 
 
@@ -206,12 +199,6 @@ _HANDLERS = {
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker-pool size (reserved; current engines are serial and deterministic)",
-    )
 
 
 def _add_map_flag(p: argparse.ArgumentParser) -> None:
@@ -259,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avoiders", help="permutations with no window matching any pattern")
     p.add_argument("--patterns", required=True, help="comma-separated (use ';' for n >= 10)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--unsafe", action="store_true", help="lift the n cap of 10")
     _add_output_flags(p)

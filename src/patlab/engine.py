@@ -24,6 +24,7 @@ compared by cross-multiplication.
 
 The budget counts the items created at one depth (every segment between
 crossings is an item), so it bounds the time spent at the widest level.
+exact_forbidden also counts its n! candidates against it.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
 is an allowed (n-1)-pattern extended by one final rank, which bounds the
@@ -40,7 +41,6 @@ from .perms import PatternSet, Perm, all_perms, check_perm, reduce_values
 from .pwl import PwlMap
 
 DEFAULT_CELL_BUDGET = 4_000_000
-DEFAULT_MAX_FORBIDDEN_N = 10
 
 
 def walk(
@@ -215,18 +215,19 @@ def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> 
     return PatternSet.from_perms(n, found)
 
 
-def exact_forbidden(
-    m: PwlMap,
-    n: int,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    max_n: int = DEFAULT_MAX_FORBIDDEN_N,
-) -> PatternSet:
-    """Complement of exact_allowed within S_n (capped: the result has ~n! members)."""
+def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
+    """Complement of exact_allowed within S_n.
+
+    Its n! candidates count against cell_budget before any walk starts:
+    10! = 3,628,800 fits the default budget, 11! does not.
+    """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    if n > max_n:
+    candidates = math.factorial(n)
+    if candidates > cell_budget:
         raise ResourceLimit(
-            f"forbidden-set enumeration is capped at n = {max_n}; raise max_n to override"
+            f"forbidden-set enumeration at n = {n} has {candidates} candidates, "
+            f"over the cell budget of {cell_budget}"
         )
     allowed = exact_allowed(m, n, cell_budget)
     return PatternSet.from_perms(n, (p for p in all_perms(n) if p not in allowed))

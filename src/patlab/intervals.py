@@ -18,10 +18,6 @@ class Interval:
     lo_closed: bool
     hi_closed: bool
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
             return False
@@ -31,48 +27,20 @@ class Interval:
             return False
         return True
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
-
-def make_interval(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval | None:
-    """Interval with the given endpoints, or None when that set is empty."""
-    if lo > hi:
+def clip_below(iv: Interval, bound: Fraction) -> Interval | None:
+    """Part of iv with x < bound, or None when that set is empty."""
+    if bound <= iv.lo:
         return None
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
-
-
-def clip_below(iv: Interval, bound: Fraction, strict: bool = True) -> Interval | None:
-    """Part of iv with x < bound (x <= bound when strict is False)."""
-    if bound < iv.lo:
-        return None
-    if bound == iv.lo:
-        if strict or not iv.lo_closed:
-            return None
-        return Interval(iv.lo, iv.lo, True, True)
-    if bound < iv.hi:
-        return Interval(iv.lo, bound, iv.lo_closed, not strict)
-    if bound == iv.hi:
-        if strict and iv.hi_closed:
-            return make_interval(iv.lo, iv.hi, iv.lo_closed, False)
-        return iv
+    if bound < iv.hi or bound == iv.hi and iv.hi_closed:
+        return Interval(iv.lo, bound, iv.lo_closed, False)
     return iv
 
 
-def clip_above(iv: Interval, bound: Fraction, strict: bool = True) -> Interval | None:
-    """Part of iv with x > bound (x >= bound when strict is False)."""
-    if bound > iv.hi:
+def clip_above(iv: Interval, bound: Fraction) -> Interval | None:
+    """Part of iv with x > bound, or None when that set is empty."""
+    if bound >= iv.hi:
         return None
-    if bound == iv.hi:
-        if strict or not iv.hi_closed:
-            return None
-        return Interval(iv.hi, iv.hi, True, True)
-    if bound > iv.lo:
-        return Interval(bound, iv.hi, not strict, iv.hi_closed)
-    if bound == iv.lo:
-        if strict and iv.lo_closed:
-            return make_interval(iv.lo, iv.hi, False, iv.hi_closed)
-        return iv
+    if bound > iv.lo or bound == iv.lo and iv.lo_closed:
+        return Interval(bound, iv.hi, False, iv.hi_closed)
     return iv

@@ -55,8 +55,11 @@ class LoadedMap:
     label: str
     spec: dict
     pwl: PwlMap | None
-    exact: bool
     note: str | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.pwl is not None
 
     def numeric(self) -> NumericMap:
         kind = self.spec["type"]
@@ -146,18 +149,18 @@ def _from_dict(spec: dict) -> LoadedMap:
     if isinstance(kind, str) and kind in _SPEC_FIELDS:
         _reject_unknown(spec, _SPEC_FIELDS[kind], f"a {kind} spec")
     if kind == "tent":
-        return LoadedMap("tent", {"type": "tent"}, tent(), True)
+        return LoadedMap("tent", {"type": "tent"}, tent())
     if kind == "sawtooth":
         n = _ramp_param(spec)
-        return LoadedMap(f"sawtooth:{n}", {"type": "sawtooth", "N": n}, sawtooth(n), True)
+        return LoadedMap(f"sawtooth:{n}", {"type": "sawtooth", "N": n}, sawtooth(n))
     if kind == "alt_sawtooth":
         n = _ramp_param(spec)
         return LoadedMap(
-            f"alt_sawtooth:{n}", {"type": "alt_sawtooth", "N": n}, alt_sawtooth(n), True
+            f"alt_sawtooth:{n}", {"type": "alt_sawtooth", "N": n}, alt_sawtooth(n)
         )
     if kind == "one_minus_x_squared":
         return LoadedMap(
-            "one_minus_x_squared", {"type": "one_minus_x_squared"}, None, False
+            "one_minus_x_squared", {"type": "one_minus_x_squared"}, None
         )
     if kind == "logistic":
         r = spec.get("r")
@@ -168,15 +171,15 @@ def _from_dict(spec: dict) -> LoadedMap:
             raise ValidationError("logistic parameter must satisfy 1 < r <= 4")
         canon = {"type": "logistic", "r": r}
         if r == 4.0:
-            return LoadedMap("logistic:4", canon, tent(), True, ISOMORPHISM_NOTE)
-        return LoadedMap(f"logistic:{r}", canon, None, False)
+            return LoadedMap("logistic:4", canon, tent(), ISOMORPHISM_NOTE)
+        return LoadedMap(f"logistic:{r}", canon, None)
     if kind == "pwl":
         raw = spec.get("pieces")
         if not isinstance(raw, list) or not raw:
             raise ParseError("field 'pieces' must be a nonempty list")
         pwl = PwlMap(tuple(_piece_from_dict(p) for p in raw))
         canon = {"type": "pwl", "pieces": [_piece_to_dict(p) for p in pwl.pieces]}
-        return LoadedMap("pwl", canon, pwl, True)
+        return LoadedMap("pwl", canon, pwl)
     raise UnknownMap(f"unknown map type {kind!r}")
 
 

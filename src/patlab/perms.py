@@ -95,8 +95,6 @@ def is_antichain(patterns: Iterable[Sequence[int]]) -> bool:
     for a, b in itertools.combinations(pats, 2):
         if len(a) < len(b) and contains(b, a):
             return False
-        if len(a) == len(b):
-            continue
     return True
 
 

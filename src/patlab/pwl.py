@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameter, OutOfDomain, UnknownMap, ValidationError
+from .errors import BadParameter, OutOfDomain, ValidationError
 from .intervals import Interval, clip_above, clip_below
 
 
@@ -107,10 +107,6 @@ class PwlMap:
         x = _frac(x)
         return self.piece_at(x).value_at(x)
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """Interior boundaries between consecutive pieces."""
-        return tuple(p.lo for p in self.pieces[1:])
-
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -160,23 +156,6 @@ def alt_sawtooth(ramp_count: int) -> PwlMap:
             slope, intercept = Fraction(-n), Fraction(m + 1)
         pieces.append(PwlPiece(lo, hi, True, last, slope, intercept))
     return PwlMap(tuple(pieces))
-
-
-def catalog(name: str, param: int | None = None) -> PwlMap:
-    """Look up a catalog map by name; sawtooth variants take the ramp count."""
-    if name == "tent":
-        if param is not None:
-            raise BadParameter("tent takes no parameter")
-        return tent()
-    if name == "sawtooth":
-        if param is None:
-            raise BadParameter("sawtooth needs a ramp count")
-        return sawtooth(param)
-    if name == "alt_sawtooth":
-        if param is None:
-            raise BadParameter("alt_sawtooth needs a ramp count")
-        return alt_sawtooth(param)
-    raise UnknownMap(f"no catalog map named {name!r}")
 
 
 # ---------------------------------------------------------------------------

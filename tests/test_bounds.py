@@ -11,7 +11,6 @@ from patlab import (
     contains,
     exact_forbidden,
     in_witness_class,
-    multinomial_blocks,
     sawtooth,
     shortest_bound,
     tent,
@@ -124,17 +123,6 @@ class TestLengthBudget:
             basis_length_check([])
         with pytest.raises(BadParameter):
             basis_length_check([1, 4])
-
-
-class TestMultinomialBlocks:
-    def test_values(self):
-        assert multinomial_blocks(2, 3) == 90
-        assert multinomial_blocks(1, 5) == 120
-        assert multinomial_blocks(3, 2) == 20
-
-    def test_validation(self):
-        with pytest.raises(BadParameter):
-            multinomial_blocks(0, 2)
 
 
 class TestBasisObstruction:

@@ -89,6 +89,18 @@ class TestForbidden:
         with pytest.raises(ResourceLimit):
             exact_forbidden(tent(), 11)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_candidates_count_against_the_budget(self, n, monkeypatch):
+        budget = math.factorial(n)
+        assert exact_forbidden(tent(), n, cell_budget=budget) == exact_forbidden(tent(), n)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked although the candidates exceed the budget")
+
+        monkeypatch.setattr("patlab.engine.walk", no_walk)
+        with pytest.raises(ResourceLimit, match=f"{budget} candidates.*budget of {budget - 1}"):
+            exact_forbidden(tent(), n, cell_budget=budget - 1)
+
 
 class TestBasicForbidden:
     def test_tent_three_four(self):

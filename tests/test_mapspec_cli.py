@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -135,19 +136,14 @@ class TestCli:
         code, out, _ = run_cli(capsys, ["shortest", "--map", "sawtooth:3", "--n-max", "8"])
         assert code == 0 and json.loads(out)["result"] == 5
 
-    def test_avoiders_count_only(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["avoiders", "--patterns", "132,231", "--n", "5", "--count-only"]
-        )
-        assert code == 0 and json.loads(out)["result"] == 16
-
     def test_avoiders_listing(self, capsys):
         code, out, _ = run_cli(capsys, ["avoiders", "--patterns", "21", "--n", "4"])
         assert code == 0 and json.loads(out)["result"]["patterns"] == ["1234"]
 
     def test_count(self, capsys):
-        code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", "10"])
-        assert code == 0 and json.loads(out)["result"] == 512
+        for n, expected in ((5, 16), (10, 512)):
+            code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", str(n)])
+            assert code == 0 and json.loads(out)["result"] == expected
 
     def test_bound(self, capsys):
         code, out, _ = run_cli(
@@ -301,6 +297,24 @@ class TestCliExitCodes:
         # argparse reports unknown flags on stderr and exits 2
         assert run_cli(capsys, ["basic", "--map", "tent", "--frobnicate"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allowed", "--map", "tent", "--n", "3", "--threads", "2"],
+            ["avoiders", "--patterns", "132,231", "--n", "5", "--count-only"],
+        ],
+    )
+    def test_removed_flags(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    def test_forbidden_candidates_exceed_budget(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["forbidden", "--map", "tent", "--n", "11", "--unsafe"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert "39916800 candidates" in err and "cell budget of 4000000" in err
+
 
 class TestCache:
     def test_byte_identical_hits(self, capsys, tmp_path, monkeypatch):
@@ -386,6 +400,16 @@ class TestCache:
             })
 
         self.assert_recomputed(capsys, tmp_path, monkeypatch, forge)
+
+    def test_cache_dir_is_a_file(self, capsys, tmp_path, monkeypatch):
+        # an unusable cache directory costs the reuse, never the answer
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("PATLAB_CACHE_DIR", str(blocker))
+        code, out, err = run_cli(capsys, self.BASIC4)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["patterns"] == ["1423", "2134", "2143", "3142", "4231"]
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_disabled_without_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PATLAB_CACHE_DIR", raising=False)
