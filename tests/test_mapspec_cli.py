@@ -136,14 +136,21 @@ class TestCli:
         code, out, _ = run_cli(capsys, ["shortest", "--map", "sawtooth:3", "--n-max", "8"])
         assert code == 0 and json.loads(out)["result"] == 5
 
+    def test_avoiders_count_only(self, capsys):
+        # the count that avoiders --count-only gave now comes from count,
+        # and it agrees with the length of the avoiders listing
+        code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", "5"])
+        assert code == 0 and json.loads(out)["result"] == 16
+        code, out, _ = run_cli(capsys, ["avoiders", "--patterns", "132,231", "--n", "5"])
+        assert code == 0 and len(json.loads(out)["result"]["patterns"]) == 16
+
     def test_avoiders_listing(self, capsys):
         code, out, _ = run_cli(capsys, ["avoiders", "--patterns", "21", "--n", "4"])
         assert code == 0 and json.loads(out)["result"]["patterns"] == ["1234"]
 
     def test_count(self, capsys):
-        for n, expected in ((5, 16), (10, 512)):
-            code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", str(n)])
-            assert code == 0 and json.loads(out)["result"] == expected
+        code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", "10"])
+        assert code == 0 and json.loads(out)["result"] == 512
 
     def test_bound(self, capsys):
         code, out, _ = run_cli(
