@@ -6,11 +6,13 @@ stdout or --out; --format csv flattens just the result.  Exit codes:
 0 success, 2 validation, usage or file error, 3 resource limit exceeded
 (1 is reserved for `verify` finding a failed check).
 
-Exact subcommands cap n at 10 unless --unsafe is given: beyond that the
-refinement grows roughly like (piece count)^n and is a deliberate
-act, not a typo.  `forbidden` also counts its n! candidates against
---cell-budget.  Set PATLAB_CACHE_DIR to reuse exact pattern sets across
-runs; entries are keyed by map spec, operation, n, and engine version.
+Exact subcommands and `avoiders` cap n at 10 unless --unsafe is given:
+beyond that the refinement, or the listing, grows roughly exponentially
+in n and is a deliberate act, not a typo.  `count` prints one integer
+and has no cap; --node-budget bounds its work.  `forbidden` also counts
+its n! candidates against --cell-budget.  Set PATLAB_CACHE_DIR to reuse
+exact pattern sets across runs; entries are keyed by map spec,
+operation, n, and engine version.
 """
 
 from __future__ import annotations
@@ -120,7 +122,6 @@ def _cmd_avoiders(args) -> tuple[dict, int]:
 
 def _cmd_count(args) -> tuple[dict, int]:
     patterns = _parse_patterns(args.patterns)
-    _guard_n(args.n, "--n", args.unsafe)
     result = count_avoiders(patterns, args.n, args.node_budget)
     return {"map": None, "n": args.n, "exact": True, "result": result}, 0
 
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--unsafe", action="store_true", help="lift the n cap of 10")
     _add_output_flags(p)
 
     p = sub.add_parser("sample", help="patterns realized by sampled float orbits (approximate)")

@@ -4,12 +4,15 @@ A permutation is a tuple of the integers 1..n.  A pattern sigma occurs
 consecutively in pi when some window of adjacent entries of pi reduces
 to sigma; all containment in this package is consecutive containment.
 
-The avoider search enumerates (or counts) the permutations of 1..n none
-of whose windows reduce to a forbidden pattern.  It extends prefixes one
-value at a time and only ever inspects the window that ends at the newly
-placed entry, so a match is detected the moment it is completed and the
-whole subtree below it is skipped.  That pruning is what makes counting
-feasible well past the reach of a scan over all of S_n.
+The avoider search counts or lists the permutations of 1..n none of
+whose windows reduce to a forbidden pattern, by a transfer-state table
+(Elizalde and Noy, Adv. Appl. Math. 2003).  Placing values one at a
+time, a state keeps only the ranks of the longest suffix of the placed
+values that reduces to a proper prefix of a forbidden pattern, among
+those values and the unused ones; many prefixes share a state.
+`count_avoiders` sums counts over the states of one depth at a time.
+`avoiders` keeps every depth, marks the states that reach a full
+permutation, then walks those in ascending order.
 
 >>> reduce_values([3, 4.2, -2, 1.7, 1])
 (4, 5, 1, 3, 2)
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BadParameter, DuplicateValue, ParseError, ResourceLimit
 
@@ -102,95 +106,72 @@ def is_antichain(patterns: Iterable[Sequence[int]]) -> bool:
 # avoider search
 
 
-def _tiny_reduce(vals: Sequence[int]) -> Perm:
-    # rank the tail of a window; tails are short, so special-case the hot sizes
-    m = len(vals)
-    if m == 1:
-        return (1,)
-    if m == 2:
-        return (1, 2) if vals[0] < vals[1] else (2, 1)
-    return reduce_values(vals)
-
-
-def _extend_pattern(tail: Perm, rank: int) -> Perm:
-    # pattern of (tail values, v) when v ranks `rank` among the full window
-    return tuple(e + (e >= rank) for e in tail) + (rank,)
-
-
-def _group_by_length(patterns: Iterable[Sequence[int]]) -> dict[int, frozenset[Perm]]:
+def _group_by_length(patterns: Iterable[Sequence[int]]) -> dict[int, set[Perm]]:
     by_len: dict[int, set[Perm]] = {}
-    for p in patterns:
-        q = check_perm(p)
-        by_len.setdefault(len(q), set()).add(q)
-    return {length: frozenset(s) for length, s in by_len.items()}
+    for p in map(check_perm, patterns):
+        by_len.setdefault(len(p), set()).add(p)
+    return by_len
 
 
-def _walk_avoiders(n: int, by_len: dict[int, frozenset[Perm]], node_budget: int, sink) -> None:
-    """Depth-first prefix extension with incremental window checks.
+def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list:
+    """Moves out of a tail whose entries rank `order` (from 0) among themselves.
 
-    For each forbidden length L only the window ending at the new entry is
-    examined, and only through a precomputed table: the reduction of the
-    last L-1 placed values indexes a bitmask of ranks that would complete a
-    forbidden window.  Candidates are tried in ascending order, so sinks
-    receive avoiders lexicographically.
+    One entry (r, d, adj, shift) for each r such that a new value above
+    exactly r tail values completes no forbidden window.  The move keeps
+    the longest suffix of (tail, new value) that reduces to a proper
+    prefix of some forbidden pattern: the first d tail values are
+    dropped, and the kept ones and the new value lose adj and shift
+    ranks to the dropped values below them.
     """
-    lengths = sorted(by_len)
-    tables: dict[int, dict[Perm, int]] = {length: {} for length in lengths}
+    row = []
+    for r in range(len(order) + 1):
+        w = tuple(e + (e >= r) for e in order) + (r,)
+        if any(k <= len(w) and reduce_values(w[-k:]) in forb for k, forb in by_len.items()):
+            continue
+        d = next(i for i in range(len(w)) if reduce_values(w[i:]) in prefixes)
+        drop = order[:d]
+        row.append((r, d, tuple(sum(x < e for x in drop) for e in order[d:]), sum(x < r for x in drop)))
+    return row
 
-    def bad_mask(length: int, tail_pat: Perm) -> int:
-        table = tables[length]
-        mask = table.get(tail_pat)
-        if mask is None:
-            forb = by_len[length]
-            mask = 0
-            for r in range(1, length + 1):
-                if _extend_pattern(tail_pat, r) in forb:
-                    mask |= 1 << r
-            table[tail_pat] = mask
-        return mask
 
-    prefix: list[int] = []
-    used = [False] * (n + 1)
+def _expander(by_len: dict[int, set[Perm]], n: int, node_budget: int):
+    """Return expand(layer, depth), which yields (state, moves) for each state of a depth.
+
+    The state after `depth` placed values is the tail: the ranks (from 0),
+    among the tail values and the n - depth unused ones, of the longest
+    suffix of the placed values that reduces to a proper prefix of a
+    forbidden pattern.  No window completed later can reach further back,
+    so the tail is all the future sees.  A move (j, next tail) places the
+    j-th smallest unused value (from 0); moves come in ascending j.  The
+    budget bounds the moves examined, charged a whole depth at a time.
+    """
+    prefixes = {reduce_values(p[:k]) for forb in by_len.values() for p in forb for k in range(1, len(p))}
+    rows: dict[Perm, list] = {}
     remaining = node_budget
 
-    def rec() -> None:
+    def expand(layer: Collection[Perm], depth: int) -> Iterator[tuple[Perm, list]]:
         nonlocal remaining
-        k = len(prefix)
-        if k == n:
-            sink(prefix)
-            return
-        ctx = []
-        for length in lengths:
-            if k + 1 >= length:
-                tail = prefix[k - length + 1 :]
-                mask = bad_mask(length, _tiny_reduce(tail))
-                if mask:
-                    ctx.append((tail, mask))
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            remaining -= 1
-            if remaining < 0:
-                raise ResourceLimit(
-                    f"avoider search exceeded the node budget of {node_budget}"
-                )
-            ok = True
-            for tail, mask in ctx:
-                r = 1
-                for t in tail:
-                    if t < v:
-                        r += 1
-                if (mask >> r) & 1:
-                    ok = False
-                    break
-            if ok:
-                used[v] = True
-                prefix.append(v)
-                rec()
-                prefix.pop()
-                used[v] = False
+        unused = n - depth
+        remaining -= len(layer) * unused
+        if remaining < 0:
+            raise ResourceLimit(
+                f"avoider search exceeded the node budget of {node_budget}: "
+                f"{len(layer)} states at depth {depth} of {n}"
+            )
+        for tail in layer:
+            cuts = sorted(tail)
+            order = tuple(map(cuts.index, tail))
+            row = rows.get(order)
+            if row is None:
+                row = rows[order] = _row(order, by_len, prefixes)
+            cuts = [-1, *cuts, len(tail) + unused]
+            out = []
+            for r, d, adj, shift in row:
+                base = tuple(map(operator.sub, tail[d:], adj))
+                out.extend((q - r, base + (q - shift,)) for q in range(cuts[r] + 1, cuts[r + 1]))
+            yield tail, out
 
-    rec()
+    return expand
 
 
 def avoiders(
@@ -204,12 +185,28 @@ def avoiders(
     by_len = _group_by_length(patterns)
     if not by_len:
         return PatternSet.from_perms(n, all_perms(n))
-    if 1 in by_len:
-        # a length-1 pattern occurs in every nonempty permutation
-        return PatternSet.from_perms(n, ())
+    expand = _expander(by_len, n, node_budget)
+    tables: list[dict[Perm, list]] = []
+    layer: Collection[Perm] = [()]
+    for depth in range(n):
+        tables.append(dict(expand(layer, depth)))
+        layer = {nxt for out in tables[-1].values() for _, nxt in out}
+    # backward pass: keep only moves into states that reach depth n
+    for moves in reversed(tables):
+        for out in moves.values():
+            out[:] = [move for move in out if move[1] in layer]
+        layer = {tail for tail, out in moves.items() if out}
+    # depth first, smallest value first: the avoiders come out in lexicographic order
     found: list[Perm] = []
-    _walk_avoiders(n, by_len, node_budget, lambda pre: found.append(tuple(pre)))
-    return PatternSet.from_perms(n, found)
+    stack = [((), tuple(range(1, n + 1)), ())]
+    while stack:
+        prefix, rest, tail = stack.pop()
+        if not rest:
+            found.append(prefix)
+            continue
+        for j, nxt in reversed(tables[len(prefix)][tail]):
+            stack.append((prefix + (rest[j],), rest[:j] + rest[j + 1 :], nxt))
+    return PatternSet(n, tuple(found))
 
 
 def count_avoiders(
@@ -217,22 +214,22 @@ def count_avoiders(
     n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """|avoiders(patterns, n)| without materializing the set."""
+    """|avoiders(patterns, n)|, keeping the counts of one depth at a time."""
     if n < 1:
         raise BadParameter("n must be at least 1")
     by_len = _group_by_length(patterns)
     if not by_len:
         return math.factorial(n)
-    if 1 in by_len:
-        return 0
-    count = 0
-
-    def bump(_pre) -> None:
-        nonlocal count
-        count += 1
-
-    _walk_avoiders(n, by_len, node_budget, bump)
-    return count
+    expand = _expander(by_len, n, node_budget)
+    counts: dict[Perm, int] = {(): 1}
+    for depth in range(n):
+        nxt: dict[Perm, int] = {}
+        for tail, out in expand(counts, depth):
+            c = counts[tail]
+            for _, t in out:
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from patlab import (
     ResourceLimit,
     all_perms,
     alt_sawtooth,
+    avoiders,
     exact_allowed,
     exact_basic_forbidden,
     exact_forbidden,
@@ -124,6 +125,15 @@ class TestBasicForbidden:
                     and reduce_values(p[1:]) in shorter
                 }
                 assert set(exact_basic_forbidden(m, n)) == direct, (m, n)
+
+    def test_closure_identity(self):
+        """The allowed patterns are exactly the avoiders of the basic forbidden ones."""
+        basis = []
+        for n in range(3, 11):
+            basis += list(exact_basic_forbidden(tent(), n))
+            allowed = exact_allowed(tent(), n)
+            assert avoiders(basis, n) == allowed, n
+        assert len(allowed) == 2137
 
     def test_antichain_across_lengths(self):
         from patlab import is_antichain

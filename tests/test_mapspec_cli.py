@@ -152,6 +152,10 @@ class TestCli:
         code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", "10"])
         assert code == 0 and json.loads(out)["result"] == 512
 
+    def test_count_has_no_n_cap(self, capsys):
+        code, out, _ = run_cli(capsys, ["count", "--patterns", "132,231", "--n", "30"])
+        assert code == 0 and json.loads(out)["result"] == 2**29
+
     def test_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, ["bound", "--map", "alt_sawtooth:9", "--method", "simple"]
@@ -309,11 +313,27 @@ class TestCliExitCodes:
         [
             ["allowed", "--map", "tent", "--n", "3", "--threads", "2"],
             ["avoiders", "--patterns", "132,231", "--n", "5", "--count-only"],
+            ["count", "--patterns", "132,231", "--n", "5", "--unsafe"],
         ],
     )
     def test_removed_flags(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--patterns", "21", "--n", "3000", "--node-budget", "200000"],
+            ["avoiders", "--patterns", "21", "--n", "3000", "--unsafe", "--node-budget", "200000"],
+        ],
+    )
+    def test_deep_n_exhausts_the_node_budget(self, capsys, argv):
+        # the search must not recurse once per placed value
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - started < 5.0
+        assert code == 3 and out == ""
+        assert "node budget of 200000" in err and "at depth 1 of 3000" in err
 
     def test_forbidden_candidates_exceed_budget(self, capsys):
         started = time.perf_counter()

@@ -1,11 +1,14 @@
 """Permutation core: reduction, containment, avoiders, text and JSON forms.
 
-Avoider values are cross-checked against a brute-force filter of S_n, so
-the pruned walker never gets to grade its own homework.
+Avoider values are cross-checked against a brute-force filter of S_n and
+against a recurrence written here, so the state table never gets to
+grade its own homework.
 """
 
+import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -92,11 +95,40 @@ class TestAntichain:
 
 
 def brute_avoiders(patterns, n):
-    return {
+    """S_n in lexicographic order, filtered by a direct check of every window.
+
+    The windows that reduce to sigma are sigma's shape filled with any k
+    of the values 1..n, so each window is looked up, not reduced.
+    """
+    bad = {}
+    for s in patterns:
+        k = len(s)
+        for values in itertools.combinations(range(1, n + 1), k):
+            bad.setdefault(k, set()).add(tuple(values[e - 1] for e in s))
+    return [
         p
         for p in all_perms(n)
-        if not any(contains(p, s) for s in patterns)
-    }
+        if not any(p[i : i + k] in windows for k, windows in bad.items() for i in range(n - k + 1))
+    ]
+
+
+def no_double_ascent(n):
+    """Permutations of 1..n with no 123 window (A049774), by a recurrence.
+
+    The state after each placed value is (unused values below it, unused
+    values above it, whether the step into it rose); a rise may not
+    follow a rise.
+    """
+
+    @lru_cache(maxsize=None)
+    def ways(below, above, rose):
+        if below + above == 0:
+            return 1
+        down = sum(ways(i, below - 1 - i + above, False) for i in range(below))
+        up = 0 if rose else sum(ways(below + j, above - 1 - j, True) for j in range(above))
+        return down + up
+
+    return sum(ways(i, n - 1 - i, False) for i in range(n))
 
 
 class TestAvoiders:
@@ -117,20 +149,33 @@ class TestAvoiders:
         assert len(avoiders([(1,)], 4)) == 0
 
     def test_matches_brute_force(self):
-        """The pruned prefix walker equals a plain filter of S_n."""
+        """The state table equals a plain filter of S_n, listed in the same order."""
         rng = random.Random(23)
-        for _ in range(20):
+        for _ in range(30):
             npat = rng.randint(1, 3)
             pats = []
             for _ in range(npat):
-                k = rng.randint(2, 4)
+                k = rng.randint(2, 5)
                 s = list(range(1, k + 1))
                 rng.shuffle(s)
                 pats.append(tuple(s))
-            n = rng.randint(1, 6)
+            n = rng.randint(1, 8)
             expected = brute_avoiders(pats, n)
-            assert set(avoiders(pats, n)) == expected
-            assert count_avoiders(pats, n) == len(expected)
+            listing = avoiders(pats, n).patterns
+            assert list(listing) == expected, (pats, n)
+            assert all(a < b for a, b in zip(listing, listing[1:]))
+            assert count_avoiders(pats, n) == len(listing)
+
+    def test_no_double_ascent(self):
+        assert [no_double_ascent(n) for n in range(1, 10)] == [
+            1, 2, 5, 17, 70, 349, 2017, 13358, 99377
+        ]
+        for n in range(1, 26):
+            assert count_avoiders([(1, 2, 3)], n) == no_double_ascent(n), n
+
+    def test_long_count(self):
+        # no 132 or 231 window means no peak: the values fall, then rise
+        assert count_avoiders([(1, 3, 2), (2, 3, 1)], 40) == 2**39
 
     def test_downward_closure(self):
         """Every window of an avoider is itself an avoider."""
@@ -144,6 +189,13 @@ class TestAvoiders:
     def test_node_budget(self):
         with pytest.raises(ResourceLimit):
             count_avoiders([(1, 3, 2)], 8, node_budget=5)
+
+    def test_budget_message_names_depth_and_states(self):
+        # depth 0 charges 8 moves; depth 1 holds 8 states of 7 moves each
+        for run in (count_avoiders, avoiders):
+            with pytest.raises(ResourceLimit) as info:
+                run([(1, 3, 2)], 8, node_budget=20)
+            assert "node budget of 20: 8 states at depth 1 of 8" in str(info.value)
 
 
 class TestTextForms:

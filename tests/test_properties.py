@@ -16,7 +16,9 @@ from patlab import (
     PwlMap,
     PwlPiece,
     all_perms,
+    avoiders,
     exact_allowed,
+    exact_basic_forbidden,
     is_realized,
     reduce_values,
 )
@@ -92,3 +94,10 @@ def test_is_realized_matches_allowed(m, n):
     allowed = exact_allowed(m, n)
     for p in all_perms(n):
         assert is_realized(m, p) == (p in allowed), p
+
+
+@PROPERTY
+@given(pwl_maps(), st.integers(2, 6))
+def test_allowed_patterns_avoid_the_basic_forbidden_ones(m, n):
+    basis = [p for k in range(2, n + 1) for p in exact_basic_forbidden(m, k)]
+    assert avoiders(basis, n) == exact_allowed(m, n)
