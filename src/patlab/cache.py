@@ -5,7 +5,10 @@ the key inputs (canonical map spec, operation name, n, engine version).
 Each entry is a record holding those inputs, the canonical JSON of the
 result as its body, and the SHA-256 of that body.  An entry is served
 only if it names the same inputs and its body matches the hash, so a
-truncated, hand-edited or misplaced entry is never trusted.  Writes go
+truncated, hand-edited or misplaced entry is recomputed; the caller
+checks that the body is a well-formed result.  The hash catches
+corruption, not a writer who stores a wrong result with a fresh hash,
+so the cache directory must be trusted.  Writes go
 through a temp file and rename, so a crashed run cannot leave a
 truncated entry.
 """
@@ -32,8 +35,8 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def key_inputs(spec_json: str, op: str, n: int, version: str) -> dict:
-    return {"n": n, "op": op, "spec": json.loads(spec_json), "version": version}
+def key_inputs(spec: dict, op: str, n: int, version: str) -> dict:
+    return {"n": n, "op": op, "spec": spec, "version": version}
 
 
 def cache_key(inputs: dict) -> str:

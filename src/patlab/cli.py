@@ -36,9 +36,9 @@ from .engine import (
     shortest_forbidden_length,
 )
 from .errors import BadParameter, PatlabError, ResourceLimit
-from .mapspec import load_map_spec, serialize
+from .mapspec import SHORTHANDS, load_map_spec
 from .numeric import SampleConfig, first_missing_cap, sampled_allowed
-from .perms import DEFAULT_NODE_BUDGET, avoiders, count_avoiders, parse_perm
+from .perms import DEFAULT_NODE_BUDGET, PatternSet, avoiders, count_avoiders, parse_perm
 from .verify import run_all
 
 SAFE_N_MAX = 10
@@ -69,11 +69,15 @@ def _guard_n(value: int, flag: str, unsafe: bool) -> None:
 
 
 def _cached_pattern_set(lm, op: str, n: int, compute) -> dict:
-    inputs = cache.key_inputs(serialize(lm), op, n, __version__)
+    inputs = cache.key_inputs(lm.spec, op, n, __version__)
     result = cache.fetch(inputs)
-    if isinstance(result, dict) and result.get("n") == n:
-        return result
-    # missing, corrupt or tampered entry: recompute and overwrite
+    # the hash shows the record is intact, not that its writer stored a
+    # well-formed answer: serve only the canonical JSON of a length-n set
+    with contextlib.suppress(PatlabError):
+        found = PatternSet.from_json(result)
+        if found.n == n and cache.canonical_json(found.to_json()) == cache.canonical_json(result):
+            return result
+    # missing, corrupt, tampered or noncanonical entry: recompute and overwrite
     body = cache.canonical_json(compute().to_json())
     cache.keep(inputs, body)
     return json.loads(body)
@@ -206,8 +210,8 @@ def _add_map_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--map",
         required=True,
-        help="catalog shorthand (tent, sawtooth:N, alt_sawtooth:N, logistic:r, "
-        "one_minus_x_squared), inline JSON, or a spec-file path",
+        help=f"catalog shorthand ({', '.join(SHORTHANDS.values())}), "
+        "inline JSON, or a spec-file path",
     )
 
 

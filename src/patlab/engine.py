@@ -37,7 +37,7 @@ import math
 from typing import Iterator
 
 from .errors import BadParameter, ResourceLimit
-from .perms import PatternSet, Perm, all_perms, check_perm, reduce_values
+from .perms import PatternSet, Perm, all_perms, check_perm
 from .pwl import PwlMap
 
 DEFAULT_CELL_BUDGET = 4_000_000
@@ -77,10 +77,7 @@ def walk(
         for sln, sld, slc, shn, shd, shc, s, c in _split(pieces, a, b, ln, ld, lc, hn, hd, hc):
             fa, fb = s * a // q, s * b // q + c
             A1, B1 = A + (fa,), B + (fb,)
-            if sln * shd == shn * sld:
-                segments = _place_at_point(A, B, order, fa, fb, sln, sld, target)
-            else:
-                segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc, target)
+            segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc, target)
             for pln, pld, plc, phn, phd, phc, r in segments:
                 stack.append((k1, pln, pld, phn, phd, plc, phc, A1, B1,
                               order[:r] + (k1,) + order[r:]))
@@ -123,15 +120,6 @@ def _split(pieces, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     return out
 
 
-def _place_at_point(A, B, order, fa, fb, xn, xd, target) -> list[tuple]:
-    """The point item x = xn/xd with the new iterate ranked, or [] on a tie
-    (or when the rank is not `target`)."""
-    r = _rank_near(A, B, order, fa, fb, xn, xd, 1)
-    if _ties(A, B, order, r, fa, fb, xn, xd) or target not in (None, r):
-        return []
-    return [(xn, xd, True, xn, xd, True, r)]
-
-
 def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
     """Rank of the new iterate just right (side 1) or left (side -1) of xn/xd."""
     lo, hi = 0, len(order)
@@ -153,9 +141,13 @@ def _ties(A, B, order, r, fa, fb, xn, xd) -> bool:
 
 
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
-    """Cut an interval item at the new iterate's crossings with the old ones,
-    into segments (lo, hi, flags, rank of the new iterate); with `target`,
-    only the segment where the new iterate has that rank."""
+    """Cut an item at the new iterate's crossings with the old ones, into
+    segments (lo, hi, flags, rank of the new iterate); with `target`, only
+    the segment where the new iterate has that rank.
+
+    A point item keeps its one segment unless the new iterate ties an old
+    one there: then it cuts into segments of length 0 with an open end.
+    """
     r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
     if r0 < len(order) and A[order[r0]] == fa and B[order[r0]] == fb:
         return []  # the new iterate repeats an old one on the whole item
@@ -179,7 +171,8 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
             right = (hn, hd, hc and not _ties(A, B, order, r1, fa, fb, hn, hd))
         else:
             right = (*crossing(order[r] if step > 0 else order[r - 1]), False)
-        out.append((*left, *right, r))
+        if left[2] and right[2] or left[0] * right[1] < right[0] * left[1]:
+            out.append((*left, *right, r))
     return out
 
 
@@ -246,7 +239,8 @@ def exact_basic_forbidden(
             pi = tuple(e + (e >= v) for e in alpha) + (v,)
             if pi in full:
                 continue
-            if reduce_values(pi[1:]) in shorter:
+            # the right window, reduced with no sort: close the gap pi[0] leaves
+            if tuple(e - (e > pi[0]) for e in pi[1:]) in shorter:
                 found.append(pi)
     return PatternSet.from_perms(n, found)
 

@@ -2,8 +2,8 @@
 
 Accepted forms:
 
-* shorthand strings: ``tent``, ``sawtooth:N``, ``alt_sawtooth:N``,
-  ``logistic:r``, ``one_minus_x_squared``;
+* shorthand strings ``name`` or ``name:value`` (see SHORTHANDS), which
+  stand for the JSON spec ``{"type": name, field: value}``;
 * inline JSON: ``{"type": "tent"}``, ``{"type": "sawtooth", "N": 3}``,
   ``{"type": "logistic", "r": 3.5}``, or a full piece list
   ``{"type": "pwl", "pieces": [{"lo": "0", "hi": "1/2", "slope": "2",
@@ -13,6 +13,9 @@ Accepted forms:
 Piece defaults: ``lo_closed`` true, ``hi_closed`` false except when
 ``hi`` is 1 (the domain's right end must be owned by its last piece).
 
+Every form ends in one reader of spec dicts, which builds the canonical
+spec and the engines: ``pwl`` holds the exact map, if there is one, and
+``numeric`` the constructor of the float map that sampling uses.
 ``logistic:4`` loads with an exact engine attached: its orbits are
 order-isomorphic to tent orbits, so pattern computations run on the tent
 map while sampling still uses the genuine logistic formula.
@@ -22,10 +25,10 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .errors import BadParameter, ParseError, UnknownMap, ValidationError
 from .numeric import NumericMap
@@ -33,42 +36,40 @@ from .pwl import PwlMap, PwlPiece, alt_sawtooth, sawtooth, tent
 
 ISOMORPHISM_NOTE = "exact results computed on the tent map via order-isomorphism"
 _PIECE_FIELDS = {"lo", "hi", "lo_closed", "hi_closed", "slope", "intercept"}
-_SPEC_FIELDS = {
-    "tent": {"type"},
-    "one_minus_x_squared": {"type"},
-    "sawtooth": {"type", "N"},
-    "alt_sawtooth": {"type", "N"},
-    "logistic": {"type", "r"},
-    "pwl": {"type", "pieces"},
+# each spec type's fields besides "type", with the reader of the value a
+# shorthand "name:value" gives it; pwl has no shorthand
+_SPEC_FIELDS: dict[str, dict] = {
+    "tent": {},
+    "sawtooth": {"N": int},
+    "alt_sawtooth": {"N": int},
+    "logistic": {"r": float},
+    "one_minus_x_squared": {},
+    "pwl": {"pieces": None},
 }
-_SHORTHAND = re.compile(r"^(tent|one_minus_x_squared|sawtooth:\d+|alt_sawtooth:\d+|logistic:[0-9.]+)$")
+SHORTHANDS = {
+    name: name + "".join(f":{f}" for f in fields)
+    for name, fields in _SPEC_FIELDS.items()
+    if None not in fields.values()
+}
 
 
 @dataclass(frozen=True)
 class LoadedMap:
     """A validated map spec with whichever engines it supports.
 
-    exact is true when pwl holds an equivalent piecewise-linear map; the
-    numeric() engine is always available.
+    exact is true when pwl holds an equivalent piecewise-linear map;
+    numeric() builds the float engine, which every map has.
     """
 
     label: str
     spec: dict
     pwl: PwlMap | None
+    numeric: Callable[[], NumericMap] = field(compare=False, repr=False)
     note: str | None = None
 
     @property
     def exact(self) -> bool:
         return self.pwl is not None
-
-    def numeric(self) -> NumericMap:
-        kind = self.spec["type"]
-        if kind == "logistic":
-            return NumericMap.logistic(self.spec["r"])
-        if kind == "one_minus_x_squared":
-            return NumericMap.one_minus_x_squared()
-        assert self.pwl is not None
-        return NumericMap.from_pwl(self.pwl)
 
     def require_exact(self) -> PwlMap:
         if self.pwl is None:
@@ -142,25 +143,25 @@ def _ramp_param(spec: dict) -> int:
     return value
 
 
+def _exact_map(label: str, spec: dict, pwl: PwlMap, note: str | None = None) -> LoadedMap:
+    return LoadedMap(label, spec, pwl, partial(NumericMap.from_pwl, pwl), note)
+
+
 def _from_dict(spec: dict) -> LoadedMap:
     if not isinstance(spec, dict):
         raise ParseError("a map spec must be a JSON object")
     kind = spec.get("type")
     if isinstance(kind, str) and kind in _SPEC_FIELDS:
-        _reject_unknown(spec, _SPEC_FIELDS[kind], f"a {kind} spec")
+        _reject_unknown(spec, {"type", *_SPEC_FIELDS[kind]}, f"a {kind} spec")
     if kind == "tent":
-        return LoadedMap("tent", {"type": "tent"}, tent())
-    if kind == "sawtooth":
+        return _exact_map("tent", {"type": "tent"}, tent())
+    if kind in ("sawtooth", "alt_sawtooth"):
         n = _ramp_param(spec)
-        return LoadedMap(f"sawtooth:{n}", {"type": "sawtooth", "N": n}, sawtooth(n))
-    if kind == "alt_sawtooth":
-        n = _ramp_param(spec)
-        return LoadedMap(
-            f"alt_sawtooth:{n}", {"type": "alt_sawtooth", "N": n}, alt_sawtooth(n)
-        )
+        build = sawtooth if kind == "sawtooth" else alt_sawtooth
+        return _exact_map(f"{kind}:{n}", {"type": kind, "N": n}, build(n))
     if kind == "one_minus_x_squared":
         return LoadedMap(
-            "one_minus_x_squared", {"type": "one_minus_x_squared"}, None
+            "one_minus_x_squared", {"type": kind}, None, NumericMap.one_minus_x_squared
         )
     if kind == "logistic":
         r = spec.get("r")
@@ -170,34 +171,32 @@ def _from_dict(spec: dict) -> LoadedMap:
         if not 1.0 < r <= 4.0:
             raise ValidationError("logistic parameter must satisfy 1 < r <= 4")
         canon = {"type": "logistic", "r": r}
+        numeric = partial(NumericMap.logistic, r)
         if r == 4.0:
-            return LoadedMap("logistic:4", canon, tent(), ISOMORPHISM_NOTE)
-        return LoadedMap(f"logistic:{r}", canon, None)
+            return LoadedMap("logistic:4", canon, tent(), numeric, ISOMORPHISM_NOTE)
+        return LoadedMap(f"logistic:{r}", canon, None, numeric)
     if kind == "pwl":
         raw = spec.get("pieces")
         if not isinstance(raw, list) or not raw:
             raise ParseError("field 'pieces' must be a nonempty list")
         pwl = PwlMap(tuple(_piece_from_dict(p) for p in raw))
         canon = {"type": "pwl", "pieces": [_piece_to_dict(p) for p in pwl.pieces]}
-        return LoadedMap("pwl", canon, pwl)
+        return _exact_map("pwl", canon, pwl)
     raise UnknownMap(f"unknown map type {kind!r}")
 
 
-def _from_shorthand(text: str) -> LoadedMap:
-    name, _, param = text.partition(":")
-    if name == "tent":
-        return _from_dict({"type": "tent"})
-    if name == "one_minus_x_squared":
-        return _from_dict({"type": "one_minus_x_squared"})
-    if name in ("sawtooth", "alt_sawtooth"):
-        return _from_dict({"type": name, "N": int(param)})
-    if name == "logistic":
+def _shorthand_spec(text: str) -> dict | None:
+    """The spec a catalog shorthand stands for, or None if text names no catalog map."""
+    name, colon, value = text.partition(":")
+    if name not in SHORTHANDS:
+        return None
+    fields = _SPEC_FIELDS[name]
+    if bool(colon) == bool(fields):
         try:
-            r = float(param)
+            return {"type": name, **{f: read(value) for f, read in fields.items()}}
         except ValueError:
-            raise ParseError(f"bad logistic parameter {param!r}") from None
-        return _from_dict({"type": "logistic", "r": r})
-    raise UnknownMap(f"unknown map shorthand {text!r}")
+            pass
+    raise ParseError(f"bad map shorthand {text!r}: the form is {SHORTHANDS[name]}")
 
 
 def load_map_spec(source: str | dict) -> LoadedMap:
@@ -207,25 +206,21 @@ def load_map_spec(source: str | dict) -> LoadedMap:
     if not isinstance(source, str):
         raise ParseError(f"map spec must be a string or object, got {type(source).__name__}")
     text = source.strip()
-    if _SHORTHAND.match(text):
-        return _from_shorthand(text)
+    spec = _shorthand_spec(text)
+    if spec is not None:
+        return _from_dict(spec)
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad map-spec JSON: {exc}") from None
-        return _from_dict(data)
-    if os.path.exists(text):
+        body, where = text, ""
+    elif os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
-            body = fh.read()
-        try:
-            data = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{text}: bad map-spec JSON: {exc}") from None
-        return _from_dict(data)
-    raise UnknownMap(
-        f"{text!r} is not a catalog shorthand, inline JSON, or a readable file"
-    )
+            body, where = fh.read(), f"{text}: "
+    else:
+        raise UnknownMap(f"{text!r} is not a catalog shorthand, inline JSON, or a readable file")
+    try:
+        data = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}bad map-spec JSON: {exc}") from None
+    return _from_dict(data)
 
 
 def serialize(lm: LoadedMap) -> str:

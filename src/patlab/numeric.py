@@ -7,6 +7,10 @@ result is a LOWER bound on the allowed set.  Sampling never certifies that
 a pattern is forbidden; rounding can only lose patterns near boundaries,
 never invent certified claims.
 
+A NumericMap is one vectorized step function, built by
+NumericMap.logistic, NumericMap.one_minus_x_squared or
+NumericMap.from_pwl; nothing downstream asks which map it came from.
+
 Orbits with two iterates closer than a tie tolerance are discarded whole:
 the pattern of a tied orbit is undefined, and a false pattern is worse
 than a lost sample.
@@ -29,7 +33,7 @@ pattern in both.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,57 +76,45 @@ class SampleConfig:
 class NumericMap:
     """A self-map of [0,1] evaluated in double precision.
 
-    Kinds: 'logistic' (r x (1-x), 1 < r <= 4), 'one_minus_x_squared',
-    and 'pwl' (float evaluation of an exact piecewise-linear map).
-    Construction samples a 1001-point grid to confirm the image stays in
-    [0,1]; stepping clamps to the domain so roundoff cannot escape it.
+    It wraps a vectorized step function; the constructors build one for
+    the logistic map r x (1-x) with 1 < r <= 4, for 1 - x^2, and for the
+    float evaluation of an exact piecewise-linear map.  Construction
+    samples a 1001-point grid to confirm the image stays in [0,1];
+    stepping clamps to the domain so roundoff cannot escape it.
     """
 
-    def __init__(self, kind: str, r: float | None = None, pwl: PwlMap | None = None):
-        if kind == "logistic":
-            if r is None or not 1.0 < float(r) <= 4.0:
-                raise BadParameter("logistic parameter must satisfy 1 < r <= 4")
-            self.r = float(r)
-        elif kind == "one_minus_x_squared":
-            pass
-        elif kind == "pwl":
-            if pwl is None:
-                raise BadParameter("kind 'pwl' needs a PwlMap to wrap")
-            # precompute float breakpoints and coefficients, one row per piece
-            self._lo = np.array([float(p.lo) for p in pwl.pieces])
-            self._hi = np.array([float(p.hi) for p in pwl.pieces])
-            self._slope = np.array([float(p.slope) for p in pwl.pieces])
-            self._icept = np.array([float(p.intercept) for p in pwl.pieces])
-        else:
-            raise BadParameter(f"unknown numeric map kind {kind!r}")
-        self.kind = kind
-        grid = np.linspace(0.0, 1.0, _CONSTRUCTION_GRID)
-        image = self._raw_step(grid)
+    def __init__(self, raw_step: Callable[[np.ndarray], np.ndarray]):
+        self._raw_step = raw_step
+        image = raw_step(np.linspace(0.0, 1.0, _CONSTRUCTION_GRID))
         if not (np.all(image >= -1e-9) and np.all(image <= 1.0 + 1e-9)):
-            raise ValidationError(f"image escapes [0,1] for kind {self.kind!r}")
+            raise ValidationError("image escapes [0,1]")
 
     @classmethod
     def logistic(cls, r: float) -> "NumericMap":
-        return cls("logistic", r=r)
+        r = float(r)
+        if not 1.0 < r <= 4.0:
+            raise BadParameter("logistic parameter must satisfy 1 < r <= 4")
+        return cls(lambda x: r * x * (1.0 - x))
 
     @classmethod
     def one_minus_x_squared(cls) -> "NumericMap":
-        return cls("one_minus_x_squared")
+        return cls(lambda x: 1.0 - x * x)
 
     @classmethod
     def from_pwl(cls, pwl: PwlMap) -> "NumericMap":
-        return cls("pwl", pwl=pwl)
+        # float breakpoints and coefficients, one entry per piece
+        lo = np.array([float(p.lo) for p in pwl.pieces])
+        slope = np.array([float(p.slope) for p in pwl.pieces])
+        icept = np.array([float(p.intercept) for p in pwl.pieces])
 
-    def _raw_step(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "logistic":
-            return self.r * x * (1.0 - x)
-        if self.kind == "one_minus_x_squared":
-            return 1.0 - x * x
-        # ownership of shared breakpoints does not matter in floats: the
-        # exact map is continuous wherever two pieces share an endpoint,
-        # and discontinuity points are a rounding-level event regardless
-        idx = np.clip(np.searchsorted(self._lo, x, side="right") - 1, 0, len(self._lo) - 1)
-        return self._slope[idx] * x + self._icept[idx]
+        def raw_step(x: np.ndarray) -> np.ndarray:
+            # ownership of shared breakpoints does not matter in floats: the
+            # exact map is continuous wherever two pieces share an endpoint,
+            # and discontinuity points are a rounding-level event regardless
+            idx = np.clip(np.searchsorted(lo, x, side="right") - 1, 0, len(lo) - 1)
+            return slope[idx] * x + icept[idx]
+
+        return cls(raw_step)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One iteration, clamped to [0,1]."""

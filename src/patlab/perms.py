@@ -299,7 +299,7 @@ class PatternSet:
     def from_json(cls, data: dict) -> "PatternSet":
         try:
             n = int(data["n"])
-            words = data["patterns"]
-        except (KeyError, TypeError, ValueError) as exc:
+            perms = [parse_perm(w) for w in data["patterns"]]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad pattern-set JSON: {data!r}") from exc
-        return cls.from_perms(n, [parse_perm(w) for w in words])
+        return cls.from_perms(n, perms)

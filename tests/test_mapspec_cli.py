@@ -9,6 +9,7 @@ import pytest
 
 from patlab import (
     ParseError,
+    __version__,
     UnknownMap,
     ValidationError,
     load_map_spec,
@@ -28,11 +29,29 @@ SHORTHANDS = [
 ]
 
 
+CANONICAL = {
+    "tent": '{"type":"tent"}',
+    "sawtooth:2": '{"N":2,"type":"sawtooth"}',
+    "sawtooth:3": '{"N":3,"type":"sawtooth"}',
+    "alt_sawtooth:9": '{"N":9,"type":"alt_sawtooth"}',
+    "logistic:3.5": '{"r":3.5,"type":"logistic"}',
+    "logistic:4": '{"r":4.0,"type":"logistic"}',
+    "one_minus_x_squared": '{"type":"one_minus_x_squared"}',
+    "logistic:04": '{"r":4.0,"type":"logistic"}',
+    "sawtooth:03": '{"N":3,"type":"sawtooth"}',
+}
+
+
 class TestLoadMapSpec:
     @pytest.mark.parametrize("text", SHORTHANDS)
     def test_round_trip(self, text):
         lm = load_map_spec(text)
         assert load_map_spec(serialize(lm)) == lm
+
+    @pytest.mark.parametrize("text", sorted(CANONICAL))
+    def test_canonical_spec(self, text):
+        # the canonical spec keys the cache, so every spelling must keep it
+        assert serialize(load_map_spec(text)) == CANONICAL[text]
 
     def test_exact_flags(self):
         assert load_map_spec("tent").exact
@@ -44,8 +63,9 @@ class TestLoadMapSpec:
         lm = load_map_spec("logistic:4")
         assert lm.exact and lm.pwl == tent()
         assert "order-isomorphism" in lm.note
-        # sampling still uses the genuine smooth formula
-        assert lm.numeric().kind == "logistic"
+        # sampling still uses the genuine smooth formula: 4 * 0.25 * 0.75,
+        # where tent gives 0.5
+        assert lm.numeric()(0.25) == 0.75
 
     def test_inline_pwl_json(self):
         text = json.dumps(
@@ -293,6 +313,13 @@ class TestCliExitCodes:
         code, _, err = run_cli(capsys, ["basic", "--map", str(tmp_path), "--n", "3"])
         assert code == 2 and err.startswith("patlab:")
 
+    @pytest.mark.parametrize("spec", ["sawtooth:abc", "tent:3", "logistic:5", "sawtooth:1"])
+    def test_bad_shorthand(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("patlab:") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -414,6 +441,8 @@ class TestCache:
             ("allowed", '{"n":4,"patterns":["1234"]}'),  # a record of another operation
             ("basic", '{"n":3,"patterns":["123"]}'),  # a body of another length
             ("basic", "[1,2]"),  # a body that is no pattern set
+            ("basic", '{"n":4,"patterns":["banana","9999"]}'),  # words that are no patterns
+            ("basic", '{"n":4,"patterns":["2134","1423"]}'),  # valid patterns, not sorted
         ],
     )
     def test_rehashed_record_recomputed(self, capsys, tmp_path, monkeypatch, op, body):
@@ -427,6 +456,15 @@ class TestCache:
             })
 
         self.assert_recomputed(capsys, tmp_path, monkeypatch, forge)
+
+    def test_entry_name_pinned(self, capsys, tmp_path, monkeypatch):
+        # the name is the SHA-256 of the canonical key inputs; changing how
+        # they are built would orphan every existing entry
+        monkeypatch.setenv("PATLAB_CACHE_DIR", str(tmp_path))
+        run_cli(capsys, self.BASIC4)
+        inputs = '{"n":4,"op":"basic","spec":{"type":"tent"},"version":"%s"}' % __version__
+        (entry,) = list(tmp_path.iterdir())
+        assert entry.name == hashlib.sha256(inputs.encode()).hexdigest() + ".json"
 
     def test_cache_dir_is_a_file(self, capsys, tmp_path, monkeypatch):
         # an unusable cache directory costs the reuse, never the answer

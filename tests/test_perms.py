@@ -243,3 +243,9 @@ class TestPatternSet:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             PatternSet.from_json({"patterns": ["12"]})
+
+    @pytest.mark.parametrize("data", [{"n": 2, "patterns": [12]}, {"n": 2, "patterns": None}])
+    def test_malformed_patterns_json(self, data):
+        # a cache body is outside input: it must fail as ParseError, not crash
+        with pytest.raises(ParseError):
+            PatternSet.from_json(data)
