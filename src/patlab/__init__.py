@@ -14,9 +14,13 @@ __version__ = "0.1.0"
 from .bounds import (
     AntichainLengthCheck,
     BoundReport,
+    ascent_components,
     basis_length_check,
     basis_obstruction,
+    descent_components,
+    diagonal_region,
     in_witness_class,
+    refined_piece_count,
     shortest_bound,
     witness,
 )
@@ -63,10 +67,6 @@ from .pwl import (
     PwlMap,
     PwlPiece,
     alt_sawtooth,
-    ascent_components,
-    descent_components,
-    diagonal_region,
-    refined_piece_count,
     sawtooth,
     tent,
 )

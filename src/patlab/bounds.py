@@ -5,7 +5,9 @@ rank words to be unrealizable, and how soon depends only on coarse
 geometry: count the maximal intervals where f(x) < x and some pattern of
 length 2k+2 is already forbidden; a refined count over monotone pieces
 gives 2k+3.  Both counts come with an explicit structural witness family,
-mirrored for the f(x) > x side.
+mirrored for the f(x) > x side.  The diagonal geometry is read off the
+depth-1 items of the engine's refinement walk, which cuts every piece
+where f(x) = x and labels each part with the order of x and f(x).
 
 The same witnesses power a negative test for basis sets: if the refined
 witness of every order m up to a cutoff avoids all patterns of a
@@ -19,14 +21,78 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .engine import walk
 from .errors import BadParameter
 from .perms import Perm, check_perm, contains
-from .pwl import PwlMap, ascent_components, descent_components, refined_piece_count
+from .pwl import Interval, PwlMap
 
 METHODS = ("simple", "refined")
 ORIENTATIONS = ("below", "above")
+_SIDE_ORDER = {"below": (1, 0), "above": (0, 1)}  # indices of x, f(x), smaller value first
+
+
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise BadParameter(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# where the graph sits below (or above) the diagonal
+
+
+def diagonal_region(m: PwlMap, orientation: str = "below") -> tuple[Interval, ...]:
+    """Maximal intervals of {x : f(x) < x} (or > for 'above').
+
+    The depth-1 items of the refinement walk hold x and f(x) in a fixed
+    order; the set is the union of the items with the wanted order.  The
+    walk drops the points where f(x) = x, so such a point separates
+    components even when the inequality holds on both sides of it.
+    """
+    side = _SIDE_ORDER[_check_choice("orientation", orientation, ORIENTATIONS)]
+    parts = sorted(
+        (Interval(Fraction(ln, ld), Fraction(hn, hd), lc, hc)
+         for _, ln, ld, hn, hd, lc, hc, _, _, order in walk(m, 1) if order == side),
+        key=lambda iv: (iv.lo, not iv.lo_closed),
+    )
+    merged: list[Interval] = []
+    for part in parts:
+        if merged and part.lo == merged[-1].hi and (merged[-1].hi_closed or part.lo_closed):
+            prev = merged.pop()
+            part = Interval(prev.lo, part.hi, prev.lo_closed, part.hi_closed)
+        merged.append(part)
+    return tuple(merged)
+
+
+def descent_components(m: PwlMap) -> int:
+    """Number of maximal intervals on which the map is strictly below the diagonal."""
+    return len(diagonal_region(m, "below"))
+
+
+def ascent_components(m: PwlMap) -> int:
+    """Number of maximal intervals on which the map is strictly above the diagonal."""
+    return len(diagonal_region(m, "above"))
+
+
+def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
+    """Count monotone pieces that can carry an orbit across the diagonal.
+
+    For orientation 'below' a piece qualifies when f(lo) < lo on an
+    increasing piece or f(hi) < hi on a decreasing one: f(x) - x is
+    monotone on an affine piece, so that end decides whether it meets
+    f(x) < x.  'above' mirrors both (f(hi) > hi rising, f(lo) > lo
+    falling).  Zero-length pieces are not monotone ramps and are skipped.
+    """
+    sign = 1 if _check_choice("orientation", orientation, ORIENTATIONS) == "below" else -1
+    count = 0
+    for p in m.pieces:
+        if p.lo < p.hi:
+            x = p.lo if (p.slope > 0) == (sign > 0) else p.hi
+            count += sign * (x - p.value_at(x)) > 0
+    return count
 
 
 @dataclass(frozen=True)
@@ -46,15 +112,11 @@ def shortest_bound(m: PwlMap, method: str = "simple", orientation: str = "below"
     region and yields 2k+2; 'refined' counts qualifying monotone pieces
     and yields 2k+3.
     """
-    if method not in METHODS:
-        raise BadParameter(f"method must be one of {METHODS}, got {method!r}")
-    if orientation not in ORIENTATIONS:
-        raise BadParameter(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    if method == "simple":
-        count = descent_components(m) if orientation == "below" else ascent_components(m)
-        return BoundReport(count, 2 * count + 2, method, orientation)
-    count = refined_piece_count(m, orientation)
-    return BoundReport(count, 2 * count + 3, method, orientation)
+    if _check_choice("method", method, METHODS) == "simple":
+        count, extra = len(diagonal_region(m, orientation)), 2
+    else:
+        count, extra = refined_piece_count(m, orientation), 3
+    return BoundReport(count, 2 * count + extra, method, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +128,6 @@ def _check_order(k: int) -> None:
         raise BadParameter("the witness order k must be at least 1")
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in METHODS:
-        raise BadParameter(f"variant must be one of {METHODS}, got {variant!r}")
-
-
 def witness(k: int, variant: str = "simple") -> Perm:
     """Explicit member of the order-k witness class.
 
@@ -80,7 +137,7 @@ def witness(k: int, variant: str = "simple") -> Perm:
     then the odd values 3..2k+3 ascending.
     """
     _check_order(k)
-    _check_variant(variant)
+    _check_choice("variant", variant, METHODS)
     if variant == "refined":
         word = list(range(2 * k + 2, 0, -2)) + [1] + list(range(3, 2 * k + 4, 2))
     else:
@@ -98,7 +155,7 @@ def in_witness_class(pi: Sequence[int], k: int, variant: str = "simple") -> bool
     """
     p = check_perm(pi)
     _check_order(k)
-    _check_variant(variant)
+    _check_choice("variant", variant, METHODS)
     n = len(p)
     ascent_values = [p[ell] for ell in range(n - 1) if p[ell] < p[ell + 1]]
     for i in range(n - k - 1):

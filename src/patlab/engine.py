@@ -205,7 +205,7 @@ def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> 
     if n < 1:
         raise BadParameter("n must be at least 1")
     (found,) = _allowed_words(m, n - 1, (n - 1,), cell_budget)
-    return PatternSet.from_perms(n, found)
+    return PatternSet(n, tuple(sorted(found)))
 
 
 def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
@@ -223,7 +223,7 @@ def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -
             f"over the cell budget of {cell_budget}"
         )
     allowed = exact_allowed(m, n, cell_budget)
-    return PatternSet.from_perms(n, (p for p in all_perms(n) if p not in allowed))
+    return PatternSet(n, tuple(p for p in all_perms(n) if p not in allowed))
 
 
 def exact_basic_forbidden(
@@ -242,7 +242,7 @@ def exact_basic_forbidden(
             # the right window, reduced with no sort: close the gap pi[0] leaves
             if tuple(e - (e > pi[0]) for e in pi[1:]) in shorter:
                 found.append(pi)
-    return PatternSet.from_perms(n, found)
+    return PatternSet(n, tuple(sorted(found)))
 
 
 def shortest_forbidden_length(
@@ -252,7 +252,7 @@ def shortest_forbidden_length(
     if n_max < 2:
         raise BadParameter("n_max must be at least 2")
     for n in range(2, n_max + 1):
-        if len(exact_allowed(m, n, cell_budget)) < math.factorial(n):
+        if len(_allowed_words(m, n - 1, (n - 1,), cell_budget)[0]) < math.factorial(n):
             return n
     return None
 

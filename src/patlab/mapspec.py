@@ -225,4 +225,5 @@ def load_map_spec(source: str | dict) -> LoadedMap:
 
 def serialize(lm: LoadedMap) -> str:
     """Canonical JSON for the map; load_map_spec(serialize(lm)) reproduces lm."""
-    return json.dumps(lm.spec, sort_keys=True, separators=(",", ":"))
+    from .cache import canonical_json  # not at import: cache loads hashlib, 3.5 MB
+    return canonical_json(lm.spec)

@@ -38,13 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, OutOfDomain, TieDetected, ValidationError
+from .errors import BadParameter, OutOfDomain, ResourceLimit, TieDetected, ValidationError
 from .perms import PatternSet, Perm, format_perm
 from .pwl import PwlMap
 
 DEFAULT_TIE_EPSILON = 1e-12
 _CONSTRUCTION_GRID = 1001
 _CHUNK = 1 << 15
+# most start points x orbit values held for each, per call (~35 bytes a value at peak)
+_SAMPLE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,14 @@ def _sample_points(cfg: SampleConfig) -> Iterator[np.ndarray]:
         yield rng.random(min(_CHUNK, cfg.random_count - start))
 
 
+def _check_budget(cfg: SampleConfig, width: int) -> None:
+    """Raise ResourceLimit, before any allocation, past _SAMPLE_BUDGET values."""
+    points = cfg.grid_count + cfg.random_count
+    if points * width > _SAMPLE_BUDGET:
+        raise ResourceLimit(f"{points} start points x {width} orbit values = {points * width}, "
+                            f"over the sample budget of {_SAMPLE_BUDGET}")
+
+
 def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> PatternSet:
     """Patterns realized by sampled orbits: a lower bound on the allowed set.
 
@@ -201,11 +211,12 @@ def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> 
     if n < 1:
         raise BadParameter("n must be at least 1")
     cfg = cfg or SampleConfig()
+    _check_budget(cfg, n)
     found: set[Perm] = set()
     for pts in _sample_points(cfg):
         orders = _unique_rows(_untied_orders(_orbits(nm, pts, n), cfg.tie_epsilon))
         found.update(map(tuple, (np.argsort(orders, axis=1) + 1).tolist()))
-    return PatternSet.from_perms(n, found)
+    return PatternSet(n, tuple(sorted(found)))
 
 
 def cap_pattern(n: int) -> Perm:
@@ -226,6 +237,7 @@ def first_missing_cap(
     if n_max < 3:
         raise BadParameter("n_max must be at least 3")
     cfg = cfg or SampleConfig()
+    _check_budget(cfg, 3)  # x_0, x_{n-2} and x_{n-1}, whatever n_max is
     eps = cfg.tie_epsilon
     seen: set[int] = set()
     for pts in _sample_points(cfg):

@@ -184,7 +184,7 @@ def avoiders(
         raise BadParameter("n must be at least 1")
     by_len = _group_by_length(patterns)
     if not by_len:
-        return PatternSet.from_perms(n, all_perms(n))
+        return PatternSet(n, tuple(all_perms(n)))
     expand = _expander(by_len, n, node_budget)
     tables: list[dict[Perm, list]] = []
     layer: Collection[Perm] = [()]

@@ -10,6 +10,10 @@ The sawtooth convention: ramps are half-open [lo, hi) and the endpoint
 x = 1 sits in its own zero-length piece with value 0, matching the mod-1
 definition.  Degenerate pieces are carried through every computation but
 are never treated as monotone ramps.
+
+Where the graph sits against the diagonal is not computed here:
+patlab.bounds reads it off the depth-1 items of the engine's refinement
+walk, which cuts every piece where f(x) = x.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameter, OutOfDomain, ValidationError
-from .intervals import Interval, clip_above, clip_below
 
 
 def _frac(value) -> Fraction:
@@ -26,6 +29,20 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadParameter(f"not a rational value: {value!r}") from exc
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A nonempty subinterval of the line; each end is open or closed."""
+
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool
+    hi_closed: bool
+
+    def contains(self, x: Fraction) -> bool:
+        return (self.lo < x < self.hi or x == self.lo and self.lo_closed
+                or x == self.hi and self.hi_closed)
 
 
 @dataclass(frozen=True)
@@ -50,19 +67,12 @@ class PwlPiece:
         elif self.slope == 0:
             raise ValidationError("piece of positive length must have nonzero slope")
         for x in (self.lo, self.hi):
-            v = self.slope * x + self.intercept
-            if v < 0 or v > 1:
-                raise ValidationError(
-                    f"image escapes [0, 1]: piece maps {x} to {v}"
-                )
+            if not 0 <= (v := self.value_at(x)) <= 1:
+                raise ValidationError(f"image escapes [0, 1]: piece maps {x} to {v}")
 
     @property
     def interval(self) -> Interval:
         return Interval(self.lo, self.hi, self.lo_closed, self.hi_closed)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
 
     def value_at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
@@ -156,90 +166,3 @@ def alt_sawtooth(ramp_count: int) -> PwlMap:
             slope, intercept = Fraction(-n), Fraction(m + 1)
         pieces.append(PwlPiece(lo, hi, True, last, slope, intercept))
     return PwlMap(tuple(pieces))
-
-
-# ---------------------------------------------------------------------------
-# where the graph sits below (or above) the diagonal
-
-
-def _piece_region(piece: PwlPiece, orientation: str) -> Interval | None:
-    """Subset of one piece where f(x) < x (below) or f(x) > x (above), strictly."""
-    iv = piece.interval
-    if piece.is_point:
-        v = piece.value_at(iv.lo)
-        hit = v < iv.lo if orientation == "below" else v > iv.lo
-        return iv if hit else None
-    a = piece.slope - 1
-    c = piece.intercept
-    if a == 0:
-        hit = c < 0 if orientation == "below" else c > 0
-        return iv if hit else None
-    root = -c / a
-    if orientation == "below":
-        return clip_below(iv, root) if a > 0 else clip_above(iv, root)
-    return clip_above(iv, root) if a > 0 else clip_below(iv, root)
-
-
-def _check_orientation(orientation: str) -> None:
-    if orientation not in ("below", "above"):
-        raise BadParameter(f"orientation must be 'below' or 'above', got {orientation!r}")
-
-
-def diagonal_region(m: PwlMap, orientation: str = "below") -> tuple[Interval, ...]:
-    """Maximal intervals of {x : f(x) < x} (or > for 'above').
-
-    The set is defined by the strict inequality, so a point where f meets
-    the diagonal separates components even when the inequality holds on
-    both sides of it.
-    """
-    _check_orientation(orientation)
-    parts = [r for p in m.pieces if (r := _piece_region(p, orientation)) is not None]
-    parts.sort(key=lambda r: (r.lo, not r.lo_closed))
-    merged: list[Interval] = []
-    for part in parts:
-        if merged:
-            prev = merged[-1]
-            if part.lo == prev.hi and (prev.hi_closed or part.lo_closed):
-                merged[-1] = Interval(prev.lo, part.hi, prev.lo_closed, part.hi_closed)
-                continue
-        merged.append(part)
-    return tuple(merged)
-
-
-def descent_components(m: PwlMap) -> int:
-    """Number of maximal intervals on which the map is strictly below the diagonal."""
-    return len(diagonal_region(m, "below"))
-
-
-def ascent_components(m: PwlMap) -> int:
-    """Number of maximal intervals on which the map is strictly above the diagonal."""
-    return len(diagonal_region(m, "above"))
-
-
-def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
-    """Count monotone pieces that can carry an orbit across the diagonal.
-
-    For orientation 'below' a piece qualifies when it is increasing and its
-    affine extension at the left endpoint of its closure lands strictly
-    below the diagonal, or when it is decreasing and meets f(x) < x
-    somewhere on it.  'above' mirrors both conditions (right endpoint,
-    f(x) > x).  Zero-length pieces are not monotone ramps and are skipped.
-    """
-    _check_orientation(orientation)
-    count = 0
-    for piece in m.pieces:
-        if piece.is_point:
-            continue
-        if piece.slope > 0:
-            if orientation == "below":
-                endpoint = piece.lo
-                if piece.value_at(endpoint) < endpoint:
-                    count += 1
-            else:
-                endpoint = piece.hi
-                if piece.value_at(endpoint) > endpoint:
-                    count += 1
-        else:
-            if _piece_region(piece, orientation) is not None:
-                count += 1
-    return count

@@ -369,6 +369,12 @@ class TestCliExitCodes:
         assert code == 3 and out == ""
         assert "39916800 candidates" in err and "cell budget of 4000000" in err
 
+    def test_sample_over_budget(self, capsys):
+        code, out, err = run_cli(capsys, ["sample", "--map", "logistic:3.7", "--n", "1000000000000"])
+        assert code == 3 and out == ""
+        assert err.startswith("patlab: resource limit:") and err.count("\n") == 1
+        assert "over the sample budget" in err
+
 
 class TestCache:
     def test_byte_identical_hits(self, capsys, tmp_path, monkeypatch):

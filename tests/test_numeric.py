@@ -12,6 +12,7 @@ from patlab import (
     BadParameter,
     NumericMap,
     OutOfDomain,
+    ResourceLimit,
     SampleConfig,
     TieDetected,
     ValidationError,
@@ -123,6 +124,30 @@ class TestSampledAllowed:
         whole = sampled_allowed(lm, 4, SMALL)
         monkeypatch.setattr(numeric_mod, "_CHUNK", 777)
         assert sampled_allowed(lm, 4, SMALL) == whole
+
+
+class TestSampleBudget:
+    """Start points times the orbit values held for each may not exceed
+    _SAMPLE_BUDGET; the check comes before any orbit is computed."""
+
+    CFG = SampleConfig(grid_count=5, random_count=5, seed=1)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(numeric_mod, "_SAMPLE_BUDGET", 40)
+        lm = NumericMap.logistic(3.7)
+        assert len(sampled_allowed(lm, 4, self.CFG)) > 0
+        monkeypatch.setattr(numeric_mod, "_orbits", None)  # fail if the sampler starts
+        with pytest.raises(ResourceLimit, match="10 start points x 5 orbit values = 50"):
+            sampled_allowed(lm, 5, self.CFG)
+
+    def test_scan_holds_three_values_per_orbit(self, monkeypatch):
+        lm = NumericMap.logistic(3.7)
+        monkeypatch.setattr(numeric_mod, "_SAMPLE_BUDGET", 30)
+        first_missing_cap(lm, 1_000_000, self.CFG)
+        monkeypatch.setattr(numeric_mod, "_SAMPLE_BUDGET", 29)
+        monkeypatch.setattr(numeric_mod, "_sample_points", None)  # fail if the scan starts
+        with pytest.raises(ResourceLimit, match="over the sample budget of 29"):
+            first_missing_cap(lm, 4, self.CFG)
 
 
 class TestSeededEvidence:

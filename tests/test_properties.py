@@ -1,4 +1,5 @@
-"""Property tests of the exact engine on random small rational PWL maps.
+"""Property tests of the exact engine and the diagonal geometry on random
+small rational PWL maps.
 
 The maps have two or three ramps on a grid of twelfths, with random
 ownership of every breakpoint (so jumps land on either side), and may
@@ -9,7 +10,7 @@ another entry point of the engine.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patlab import (
@@ -17,10 +18,12 @@ from patlab import (
     PwlPiece,
     all_perms,
     avoiders,
+    diagonal_region,
     exact_allowed,
     exact_basic_forbidden,
     is_realized,
     reduce_values,
+    refined_piece_count,
 )
 from patlab.engine import walk
 
@@ -101,3 +104,55 @@ def test_is_realized_matches_allowed(m, n):
 def test_allowed_patterns_avoid_the_basic_forbidden_ones(m, n):
     basis = [p for k in range(2, n + 1) for p in exact_basic_forbidden(m, k)]
     assert avoiders(basis, n) == exact_allowed(m, n)
+
+
+# f(x) < x on both sides of x = 1/2, where f(x) = x: a point piece there,
+# then the right ramp owning it
+HALF = F(1, 2)
+TIE_BETWEEN = [
+    PwlMap((PwlPiece(0, HALF, True, False, HALF, 0), PwlPiece(HALF, HALF, True, True, 0, HALF),
+            PwlPiece(HALF, 1, False, True, 1, -HALF / 2))),
+    PwlMap((PwlPiece(0, HALF, True, False, HALF, 0), PwlPiece(HALF, 1, True, True, HALF, HALF / 2))),
+]
+
+
+@PROPERTY
+@given(pwl_maps(), st.sampled_from(["below", "above"]))
+@example(TIE_BETWEEN[0], "below")
+@example(TIE_BETWEEN[1], "below")
+def test_diagonal_region_matches_exact_evaluation(m, orientation):
+    """Against Fraction evaluation at every point where the side of the
+    diagonal can change (piece ends and fixed points) and between them."""
+    side = (lambda x: m(x) < x) if orientation == "below" else (lambda x: m(x) > x)
+    region = diagonal_region(m, orientation)
+    cuts = {x for p in m.pieces for x in (p.lo, p.hi)}
+    cuts |= {p.intercept / (1 - p.slope) for p in m.pieces if p.slope != 1}
+    cuts = sorted(x for x in cuts if 0 <= x <= 1)
+    points = sorted({*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:]))})
+    for x in points:
+        assert any(iv.contains(x) for iv in region) == side(x), x
+    for left, right in zip(region, region[1:]):
+        assert any(left.hi <= x <= right.lo and not side(x) for x in points), (left, right)
+
+
+@PROPERTY
+@given(pwl_maps(), st.sampled_from(["below", "above"]))
+def test_refined_piece_count_matches_its_definition(m, orientation):
+    """A rising piece counts when its affine extension is strictly past the
+    diagonal at its left end (below) or right end (above); a falling piece
+    counts when one of its points is, checked at its owned ends, its fixed
+    point and between them."""
+    def past(p, x):
+        return p.value_at(x) < x if orientation == "below" else p.value_at(x) > x
+
+    count = 0
+    for p in m.pieces:
+        if p.lo == p.hi:
+            continue
+        if p.slope > 0:
+            count += past(p, p.lo if orientation == "below" else p.hi)
+            continue
+        cuts = sorted(x for x in {p.lo, p.hi, p.intercept / (1 - p.slope)} if p.lo <= x <= p.hi)
+        xs = [*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:]))]
+        count += any(past(p, x) for x in xs if p.interval.contains(x))
+    assert refined_piece_count(m, orientation) == count

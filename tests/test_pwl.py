@@ -21,7 +21,6 @@ from patlab import (
     tent,
 )
 from patlab.engine import walk
-from patlab.intervals import Interval, clip_above, clip_below
 
 F = Fraction
 
@@ -147,27 +146,6 @@ class TestDiagonalGeometry:
         rising ramps qualify alongside the falling ones."""
         assert refined_piece_count(alt_sawtooth(9), "below") == 8
         assert refined_piece_count(alt_sawtooth(3), "below") == 2
-
-    def test_clips_match_pointwise(self):
-        """clip_below/clip_above keep exactly the points strictly below/above
-        the bound, on every interval with endpoints on a quarter grid, and
-        return None rather than an empty interval."""
-        grid = [F(j, 4) for j in range(5)]
-        bounds = [F(j, 8) for j in range(-1, 10)]
-        points = [F(j, 16) for j in range(-1, 18)]  # fine enough to hit every nonempty part
-        for lo, hi in ((a, b) for a in grid for b in grid if a <= b):
-            for lc, hc in ((True, True), (True, False), (False, True), (False, False)):
-                if lo == hi and not (lc and hc):
-                    continue
-                iv = Interval(lo, hi, lc, hc)
-                for bound in bounds:
-                    for clip, keep in ((clip_below, lambda x: x < bound),
-                                       (clip_above, lambda x: x > bound)):
-                        part = clip(iv, bound)
-                        expected = [x for x in points if iv.contains(x) and keep(x)]
-                        got = [x for x in points if part is not None and part.contains(x)]
-                        assert got == expected, (iv, clip.__name__, bound)
-                        assert (part is None) == (not expected), (iv, clip.__name__, bound)
 
 
 def items_at(m, depth):
