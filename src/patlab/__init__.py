@@ -7,6 +7,11 @@ are sampled in floating point.  The package computes allowed and
 forbidden pattern sets, minimal forbidden patterns, geometric bounds on
 the shortest forbidden length, avoider counts, and obstructions telling
 which pattern sets can never be a map's minimal forbidden family.
+
+Only the float sampler needs NumPy, so ``import patlab`` does not load it.
+The submodule ``patlab.numeric`` and the names taken from it
+(NumericMap, SampleConfig, cap_pattern, first_missing_cap, pattern_at,
+sampled_allowed) resolve on first access, and NumPy loads then.
 """
 
 __version__ = "0.1.0"
@@ -43,14 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .mapspec import LoadedMap, load_map_spec, serialize
-from .numeric import (
-    NumericMap,
-    SampleConfig,
-    cap_pattern,
-    first_missing_cap,
-    pattern_at,
-    sampled_allowed,
-)
 from .perms import (
     PatternSet,
     Perm,
@@ -122,3 +119,22 @@ __all__ = [
     "tent",
     "witness",
 ]
+
+_NUMERIC_NAMES = frozenset(
+    {"NumericMap", "SampleConfig", "cap_pattern", "first_missing_cap", "pattern_at", "sampled_allowed"}
+)
+
+
+def __getattr__(name: str):
+    # importlib, not "from . import numeric": that form asks hasattr(patlab,
+    # "numeric") first, which would land back here
+    if name == "numeric" or name in _NUMERIC_NAMES:
+        from importlib import import_module
+
+        numeric = import_module(".numeric", __name__)
+        return numeric if name == "numeric" else getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NUMERIC_NAMES, "numeric"})

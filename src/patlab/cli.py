@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import __version__, cache
+from . import __version__
 from .bounds import basis_length_check, basis_obstruction, shortest_bound
 from .engine import (
     DEFAULT_CELL_BUDGET,
@@ -37,9 +37,7 @@ from .engine import (
 )
 from .errors import BadParameter, PatlabError, ResourceLimit
 from .mapspec import SHORTHANDS, load_map_spec
-from .numeric import SampleConfig, first_missing_cap, sampled_allowed
 from .perms import DEFAULT_NODE_BUDGET, PatternSet, avoiders, count_avoiders, parse_perm
-from .verify import run_all
 
 SAFE_N_MAX = 10
 SAMPLE_NOTE = "sampled lower bound: absent patterns are not thereby forbidden"
@@ -69,6 +67,10 @@ def _guard_n(value: int, flag: str, unsafe: bool) -> None:
 
 
 def _cached_pattern_set(lm, op: str, n: int, compute) -> dict:
+    from . import cache  # here, not at import: only the exact pattern-set commands use it
+
+    if cache.cache_dir() is None:
+        return compute().to_json()
     inputs = cache.key_inputs(lm.spec, op, n, __version__)
     result = cache.fetch(inputs)
     # the hash shows the record is intact, not that its writer stored a
@@ -131,17 +133,21 @@ def _cmd_count(args) -> tuple[dict, int]:
 
 
 def _cmd_sample(args) -> tuple[dict, int]:
+    from . import numeric  # here, not at import: it loads NumPy
+
     lm = load_map_spec(args.map)
     nm = lm.numeric()
-    cfg = SampleConfig(
-        grid_count=args.grid,
-        random_count=args.random,
-        seed=args.seed,
-        tie_epsilon=args.tie_eps,
-    )
-    result = sampled_allowed(nm, args.n, cfg).to_json()
+    given = {
+        "grid_count": args.grid,
+        "random_count": args.random,
+        "seed": args.seed,
+        "tie_epsilon": args.tie_eps,
+    }
+    # flags left out keep SampleConfig's own defaults
+    cfg = numeric.SampleConfig(**{k: v for k, v in given.items() if v is not None})
+    result = numeric.sampled_allowed(nm, args.n, cfg).to_json()
     if args.scan_missing is not None:
-        result["first_missing_cap"] = first_missing_cap(nm, args.scan_missing, cfg)
+        result["first_missing_cap"] = numeric.first_missing_cap(nm, args.scan_missing, cfg)
     return {"map": lm.label, "n": args.n, "exact": False, "result": result, "note": SAMPLE_NOTE}, 0
 
 
@@ -163,6 +169,8 @@ def _cmd_length_check(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from .verify import run_all  # here, not at import: its checks load NumPy
+
     results = run_all(args.only or None)
     if not results:
         raise BadParameter(f"no checks match {args.only}")
@@ -264,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="patterns realized by sampled float orbits (approximate)")
     _add_map_flag(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=SampleConfig().grid_count)
-    p.add_argument("--random", type=int, default=SampleConfig().random_count)
-    p.add_argument("--seed", type=int, default=SampleConfig().seed)
-    p.add_argument("--tie-eps", type=float, default=SampleConfig().tie_epsilon)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--random", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tie-eps", type=float)
     p.add_argument(
         "--scan-missing",
         type=int,

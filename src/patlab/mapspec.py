@@ -15,7 +15,9 @@ Piece defaults: ``lo_closed`` true, ``hi_closed`` false except when
 
 Every form ends in one reader of spec dicts, which builds the canonical
 spec and the engines: ``pwl`` holds the exact map, if there is one, and
-``numeric`` the constructor of the float map that sampling uses.
+``numeric`` the constructor of the float map that sampling uses.  Loading
+a spec does not import NumPy; calling ``numeric()`` does, so only the
+float path pays for it.
 ``logistic:4`` loads with an exact engine attached: its orbits are
 order-isomorphic to tent orbits, so pattern computations run on the tent
 map while sampling still uses the genuine logistic formula.
@@ -28,11 +30,13 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import BadParameter, ParseError, UnknownMap, ValidationError
-from .numeric import NumericMap
 from .pwl import PwlMap, PwlPiece, alt_sawtooth, sawtooth, tent
+
+if TYPE_CHECKING:
+    from .numeric import NumericMap
 
 ISOMORPHISM_NOTE = "exact results computed on the tent map via order-isomorphism"
 _PIECE_FIELDS = {"lo", "hi", "lo_closed", "hi_closed", "slope", "intercept"}
@@ -58,7 +62,8 @@ class LoadedMap:
     """A validated map spec with whichever engines it supports.
 
     exact is true when pwl holds an equivalent piecewise-linear map;
-    numeric() builds the float engine, which every map has.
+    numeric() builds the float engine, which every map has; its first
+    call imports NumPy.
     """
 
     label: str
@@ -143,8 +148,14 @@ def _ramp_param(spec: dict) -> int:
     return value
 
 
+def _float_map(constructor: str, *args) -> NumericMap:
+    from .numeric import NumericMap  # here, not at import: NumPy is for the float path only
+
+    return getattr(NumericMap, constructor)(*args)
+
+
 def _exact_map(label: str, spec: dict, pwl: PwlMap, note: str | None = None) -> LoadedMap:
-    return LoadedMap(label, spec, pwl, partial(NumericMap.from_pwl, pwl), note)
+    return LoadedMap(label, spec, pwl, partial(_float_map, "from_pwl", pwl), note)
 
 
 def _from_dict(spec: dict) -> LoadedMap:
@@ -161,7 +172,7 @@ def _from_dict(spec: dict) -> LoadedMap:
         return _exact_map(f"{kind}:{n}", {"type": kind, "N": n}, build(n))
     if kind == "one_minus_x_squared":
         return LoadedMap(
-            "one_minus_x_squared", {"type": kind}, None, NumericMap.one_minus_x_squared
+            "one_minus_x_squared", {"type": kind}, None, partial(_float_map, kind)
         )
     if kind == "logistic":
         r = spec.get("r")
@@ -171,7 +182,7 @@ def _from_dict(spec: dict) -> LoadedMap:
         if not 1.0 < r <= 4.0:
             raise ValidationError("logistic parameter must satisfy 1 < r <= 4")
         canon = {"type": "logistic", "r": r}
-        numeric = partial(NumericMap.logistic, r)
+        numeric = partial(_float_map, "logistic", r)
         if r == 4.0:
             return LoadedMap("logistic:4", canon, tent(), numeric, ISOMORPHISM_NOTE)
         return LoadedMap(f"logistic:{r}", canon, None, numeric)
@@ -225,5 +236,5 @@ def load_map_spec(source: str | dict) -> LoadedMap:
 
 def serialize(lm: LoadedMap) -> str:
     """Canonical JSON for the map; load_map_spec(serialize(lm)) reproduces lm."""
-    from .cache import canonical_json  # not at import: cache loads hashlib, 3.5 MB
+    from .cache import canonical_json  # not at import: most runs never touch the cache
     return canonical_json(lm.spec)

@@ -33,6 +33,7 @@ pattern in both.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -71,8 +72,10 @@ class SampleConfig:
             raise BadParameter("sample counts must be nonnegative")
         if self.grid_count + self.random_count < 1:
             raise BadParameter("need at least one sample point")
-        if not self.tie_epsilon > 0:
-            raise BadParameter("tie_epsilon must be positive")
+        if self.seed < 0:
+            raise BadParameter("seed must be nonnegative")
+        if not 0 < self.tie_epsilon < math.inf:
+            raise BadParameter("tie_epsilon must be positive and finite")
 
 
 class NumericMap:

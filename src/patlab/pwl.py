@@ -21,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameter, OutOfDomain, ValidationError
+from .errors import BadParameter, OutOfDomain, ResourceLimit, ValidationError
+
+# most ramps sawtooth and alt_sawtooth build; a ramp is a piece of four
+# Fractions, about 0.6 kB, so a spec load stays near 6 MB
+_MAX_RAMPS = 10_000
 
 
 def _frac(value) -> Fraction:
@@ -133,11 +137,19 @@ def tent() -> PwlMap:
     )
 
 
-def sawtooth(ramp_count: int) -> PwlMap:
-    """N*x mod 1 with N rising ramps; x = 1 maps to 0 in its own point piece."""
+def _ramp_count(ramp_count: int, name: str) -> int:
+    """The ramp count as an int, checked before any piece is built."""
     n = int(ramp_count)
     if n < 2:
-        raise BadParameter("sawtooth needs at least 2 ramps")
+        raise BadParameter(f"{name} needs at least 2 ramps")
+    if n > _MAX_RAMPS:
+        raise ResourceLimit(f"{name} with {n} ramps exceeds the limit of {_MAX_RAMPS} ramps")
+    return n
+
+
+def sawtooth(ramp_count: int) -> PwlMap:
+    """N*x mod 1 with N rising ramps; x = 1 maps to 0 in its own point piece."""
+    n = _ramp_count(ramp_count, "sawtooth")
     pieces = [
         PwlPiece(Fraction(m, n), Fraction(m + 1, n), True, False, Fraction(n), Fraction(-m))
         for m in range(n)
@@ -153,9 +165,7 @@ def alt_sawtooth(ramp_count: int) -> PwlMap:
     next falling ramp starts, and vice versa at 0), so no extra endpoint
     piece is needed.
     """
-    n = int(ramp_count)
-    if n < 2:
-        raise BadParameter("alt_sawtooth needs at least 2 ramps")
+    n = _ramp_count(ramp_count, "alt_sawtooth")
     pieces = []
     for m in range(n):
         lo, hi = Fraction(m, n), Fraction(m + 1, n)

@@ -133,6 +133,18 @@ class TestLoadMapSpec:
         with pytest.raises(ParseError):
             load_map_spec(str(path))
 
+    @pytest.mark.parametrize(
+        "text, x, fx",
+        [
+            ("logistic:3.7", 0.5, 0.925),
+            ("logistic:4", 0.25, 0.75),
+            ("one_minus_x_squared", 0.5, 0.75),
+            ("tent", 0.75, 0.5),
+        ],
+    )
+    def test_float_engine_evaluates(self, text, x, fx):
+        assert load_map_spec(text).numeric()(x) == pytest.approx(fx, abs=1e-15)
+
 
 def run_cli(capsys, argv):
     code = run(argv)
@@ -369,6 +381,33 @@ class TestCliExitCodes:
         assert code == 3 and out == ""
         assert "39916800 candidates" in err and "cell budget of 4000000" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be nonnegative"),
+            (["--tie-eps", "inf"], "tie_epsilon must be positive and finite"),
+            (["--tie-eps", "nan"], "tie_epsilon must be positive and finite"),
+        ],
+    )
+    def test_bad_sample_config(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, ["sample", "--map", "logistic:3.9", "--n", "3", *flags])
+        assert code == 2 and out == ""
+        assert err == f"patlab: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["sawtooth", "alt_sawtooth"])
+    def test_ramp_count_over_the_limit(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr("patlab.pwl._MAX_RAMPS", 5)
+        code, out, _ = run_cli(capsys, ["shortest", "--map", f"{kind}:5", "--n-max", "3"])
+        assert code == 0 and json.loads(out)["map"] == f"{kind}:5"
+        code, out, err = run_cli(capsys, ["shortest", "--map", f"{kind}:6", "--n-max", "3"])
+        assert code == 3 and out == ""
+        assert err == f"patlab: resource limit: {kind} with 6 ramps exceeds the limit of 5 ramps\n"
+
+    def test_huge_ramp_count_fails_at_once(self, capsys):
+        started = time.perf_counter()
+        code, _, _ = run_cli(capsys, ["shortest", "--map", "sawtooth:1000000000", "--n-max", "2"])
+        assert code == 3 and time.perf_counter() - started < 1.0
+
     def test_sample_over_budget(self, capsys):
         code, out, err = run_cli(capsys, ["sample", "--map", "logistic:3.7", "--n", "1000000000000"])
         assert code == 3 and out == ""
@@ -486,3 +525,17 @@ class TestCache:
         monkeypatch.delenv("PATLAB_CACHE_DIR", raising=False)
         code, _, _ = run_cli(capsys, ["allowed", "--map", "tent", "--n", "3"])
         assert code == 0 and not list(tmp_path.iterdir())
+
+    def test_no_hashing_without_env(self, capsys, monkeypatch):
+        # with no directory the result is neither keyed nor encoded for storage
+        import patlab.cache
+
+        def refuse(*args):
+            raise AssertionError("cache work with the cache off")
+
+        monkeypatch.delenv("PATLAB_CACHE_DIR", raising=False)
+        for name in ("_sha256", "canonical_json", "fetch", "keep"):
+            monkeypatch.setattr(patlab.cache, name, refuse)
+        code, out, _ = run_cli(capsys, self.BASIC4)
+        assert code == 0
+        assert json.loads(out)["result"]["patterns"] == ["1423", "2134", "2143", "3142", "4231"]

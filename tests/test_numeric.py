@@ -94,6 +94,16 @@ class TestSampleConfig:
         with pytest.raises(BadParameter):
             SampleConfig(tie_epsilon=0.0)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_finite_epsilon(self, eps):
+        with pytest.raises(BadParameter):
+            SampleConfig(tie_epsilon=eps)
+
+    def test_nonnegative_seed(self):
+        with pytest.raises(BadParameter):
+            SampleConfig(seed=-1)
+        assert SampleConfig(seed=0).seed == 0
+
 
 class TestSampledAllowed:
     def test_logistic4_length_three(self):

@@ -73,6 +73,13 @@ class TestCatalog:
                 assert left and right
                 assert left[0].value_at(x) == right[0].value_at(x)
 
+    @pytest.mark.parametrize("build", [sawtooth, alt_sawtooth])
+    def test_ramp_limit(self, build, monkeypatch):
+        monkeypatch.setattr("patlab.pwl._MAX_RAMPS", 4)
+        assert len(build(4).pieces) >= 4
+        with pytest.raises(ResourceLimit, match="exceeds the limit of 4 ramps"):
+            build(5)
+
 
 class TestValidation:
     def test_gap(self):
