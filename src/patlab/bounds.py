@@ -25,13 +25,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .engine import walk
-from .errors import BadParameter
+from .errors import BadParameter, ResourceLimit
 from .perms import Perm, check_perm, contains
 from .pwl import Interval, PwlMap
 
 METHODS = ("simple", "refined")
 ORIENTATIONS = ("below", "above")
 _SIDE_ORDER = {"below": (1, 0), "above": (0, 1)}  # indices of x, f(x), smaller value first
+# the largest shortest length basis_length_check accepts: it gives h = 1000,
+# and 1000! has 2,568 digits, within the 4,300 that Python converts to text
+MAX_SHORTEST_LENGTH = 2_000
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> str:
@@ -202,6 +205,10 @@ def basis_length_check(lengths: Iterable[int]) -> AntichainLengthCheck:
         raise BadParameter("need at least one pattern length")
     if ks[0] < 2:
         raise BadParameter("basis pattern lengths must be at least 2")
+    if ks[0] > MAX_SHORTEST_LENGTH:
+        raise ResourceLimit(
+            f"shortest length {ks[0]} exceeds the limit of {MAX_SHORTEST_LENGTH}"
+        )
     half_min = ks[0] // 2
     total = sum(ks)
     required = math.factorial(half_min) + len(ks) * (half_min - 1)

@@ -37,7 +37,7 @@ from .engine import (
 )
 from .errors import BadParameter, PatlabError, ResourceLimit
 from .mapspec import SHORTHANDS, load_map_spec
-from .perms import DEFAULT_NODE_BUDGET, PatternSet, avoiders, count_avoiders, parse_perm
+from .perms import DEFAULT_NODE_BUDGET, avoiders, count_avoiders, parse_perm
 
 SAFE_N_MAX = 10
 SAMPLE_NOTE = "sampled lower bound: absent patterns are not thereby forbidden"
@@ -66,41 +66,18 @@ def _guard_n(value: int, flag: str, unsafe: bool) -> None:
         )
 
 
-def _cached_pattern_set(lm, op: str, n: int, compute) -> dict:
-    from . import cache  # here, not at import: only the exact pattern-set commands use it
-
-    if cache.cache_dir() is None:
-        return compute().to_json()
-    inputs = cache.key_inputs(lm.spec, op, n, __version__)
-    result = cache.fetch(inputs)
-    # the hash shows the record is intact, not that its writer stored a
-    # well-formed answer: serve only the canonical JSON of a length-n set
-    with contextlib.suppress(PatlabError):
-        found = PatternSet.from_json(result)
-        if found.n == n and cache.canonical_json(found.to_json()) == cache.canonical_json(result):
-            return result
-    # missing, corrupt, tampered or noncanonical entry: recompute and overwrite
-    body = cache.canonical_json(compute().to_json())
-    cache.keep(inputs, body)
-    return json.loads(body)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (envelope core, exit code)
 
-_EXACT_OPS = {
-    "allowed": exact_allowed,
-    "forbidden": exact_forbidden,
-    "basic": exact_basic_forbidden,
-}
-
 
 def _cmd_pattern_set(args) -> tuple[dict, int]:
+    from . import cache  # here, not at import: only the exact pattern-set commands use it
+
     lm = load_map_spec(args.map)
     m = lm.require_exact()
     _guard_n(args.n, "--n", args.unsafe)
-    compute = lambda: _EXACT_OPS[args.command](m, args.n, args.cell_budget)
-    result = _cached_pattern_set(lm, args.command, args.n, compute)
+    compute = lambda: args.op(m, args.n, args.cell_budget)
+    result = cache.pattern_set(lm.spec, args.command, args.n, compute)
     return {"map": lm.label, "n": args.n, "exact": True, "result": result, "note": lm.note}, 0
 
 
@@ -190,21 +167,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return {"map": None, "n": None, "exact": True, "result": rows}, code
 
 
-_HANDLERS = {
-    "allowed": _cmd_pattern_set,
-    "forbidden": _cmd_pattern_set,
-    "basic": _cmd_pattern_set,
-    "shortest": _cmd_shortest,
-    "bound": _cmd_bound,
-    "avoiders": _cmd_avoiders,
-    "count": _cmd_count,
-    "sample": _cmd_sample,
-    "check-basis": _cmd_check_basis,
-    "length-check": _cmd_length_check,
-    "verify": _cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -231,12 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"patlab {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    for name, help_text in (
-        ("allowed", "length-n patterns realized by some orbit (exact)"),
-        ("forbidden", "length-n patterns no orbit realizes (exact)"),
-        ("basic", "minimal forbidden patterns of length n (exact)"),
+    # the engine functions are read here, not at import, so a wrapped
+    # module global is what the handler calls
+    for name, op, help_text in (
+        ("allowed", exact_allowed, "length-n patterns realized by some orbit (exact)"),
+        ("forbidden", exact_forbidden, "length-n patterns no orbit realizes (exact)"),
+        ("basic", exact_basic_forbidden, "minimal forbidden patterns of length n (exact)"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_pattern_set, op=op)
         _add_map_flag(p)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
@@ -244,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_flags(p)
 
     p = sub.add_parser("shortest", help="least n with a forbidden pattern")
+    p.set_defaults(handler=_cmd_shortest)
     _add_map_flag(p)
     p.add_argument("--n-max", type=int, default=SAFE_N_MAX)
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
@@ -251,12 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("bound", help="geometric upper bound on the shortest forbidden length")
+    p.set_defaults(handler=_cmd_bound)
     _add_map_flag(p)
     p.add_argument("--method", choices=("simple", "refined"), default="simple")
     p.add_argument("--orientation", choices=("below", "above"), default="below")
     _add_output_flags(p)
 
     p = sub.add_parser("avoiders", help="permutations with no window matching any pattern")
+    p.set_defaults(handler=_cmd_avoiders)
     p.add_argument("--patterns", required=True, help="comma-separated (use ';' for n >= 10)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
@@ -264,12 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("count", help="number of avoiders without materializing them")
+    p.set_defaults(handler=_cmd_count)
     p.add_argument("--patterns", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_output_flags(p)
 
     p = sub.add_parser("sample", help="patterns realized by sampled float orbits (approximate)")
+    p.set_defaults(handler=_cmd_sample)
     _add_map_flag(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int)
@@ -285,15 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("check-basis", help="piece counts ruled out for a candidate minimal set")
+    p.set_defaults(handler=_cmd_check_basis)
     p.add_argument("--patterns", required=True)
     p.add_argument("--m-max", type=int, default=5)
     _add_output_flags(p)
 
     p = sub.add_parser("length-check", help="counting inequality for candidate basis lengths")
+    p.set_defaults(handler=_cmd_length_check)
     p.add_argument("--lengths", required=True, help="comma-separated pattern lengths")
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="run the package acceptance checklist")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--only", action="append", metavar="NAME", help="run a single named check")
     _add_output_flags(p)
 
@@ -365,7 +338,7 @@ def run(argv=None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        core, code = _HANDLERS[args.command](args)
+        core, code = args.handler(args)
         _emit(core, args, started)
     except ResourceLimit as exc:
         print(f"patlab: resource limit: {exc}", file=sys.stderr)

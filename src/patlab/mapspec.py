@@ -178,9 +178,9 @@ def _from_dict(spec: dict) -> LoadedMap:
         r = spec.get("r")
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise ParseError("field 'r' must be a number")
-        r = float(r)
-        if not 1.0 < r <= 4.0:
+        if not 1.0 < r <= 4.0:  # before float(r), which overflows on a huge integer
             raise ValidationError("logistic parameter must satisfy 1 < r <= 4")
+        r = float(r)
         canon = {"type": "logistic", "r": r}
         numeric = partial(_float_map, "logistic", r)
         if r == 4.0:
@@ -229,7 +229,7 @@ def load_map_spec(source: str | dict) -> LoadedMap:
         raise UnknownMap(f"{text!r} is not a catalog shorthand, inline JSON, or a readable file")
     try:
         data = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, or an integer too long
         raise ParseError(f"{where}bad map-spec JSON: {exc}") from None
     return _from_dict(data)
 

@@ -4,6 +4,7 @@ import pytest
 
 from patlab import (
     BadParameter,
+    ResourceLimit,
     all_perms,
     alt_sawtooth,
     basis_length_check,
@@ -123,6 +124,16 @@ class TestLengthBudget:
             basis_length_check([])
         with pytest.raises(BadParameter):
             basis_length_check([1, 4])
+
+    def test_shortest_length_limit(self, monkeypatch):
+        # refused before h! is computed: 1,000,000! would take seconds
+        with pytest.raises(ResourceLimit, match="shortest length 2000000 exceeds the limit of 2000"):
+            basis_length_check([2_000_000])
+        assert basis_length_check([2000]).half_min == 1000
+        monkeypatch.setattr("patlab.bounds.MAX_SHORTEST_LENGTH", 10)
+        assert basis_length_check([40, 10]).half_min == 5
+        with pytest.raises(ResourceLimit, match="shortest length 11 exceeds the limit of 10"):
+            basis_length_check([40, 11])
 
 
 class TestBasisObstruction:

@@ -1,5 +1,6 @@
 """Map-spec ingestion, the command-line surface, and the on-disk cache."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,11 +13,14 @@ from patlab import (
     __version__,
     UnknownMap,
     ValidationError,
+    exact_allowed,
+    exact_basic_forbidden,
+    exact_forbidden,
     load_map_spec,
     serialize,
     tent,
 )
-from patlab.cli import run
+from patlab.cli import build_parser, run
 
 SHORTHANDS = [
     "tent",
@@ -116,6 +120,8 @@ class TestLoadMapSpec:
     def test_logistic_range(self):
         with pytest.raises(ValidationError):
             load_map_spec("logistic:0.5")
+        with pytest.raises(ValidationError):  # float(r) would overflow
+            load_map_spec({"type": "logistic", "r": 10**400})
 
     def test_unknown(self):
         with pytest.raises(UnknownMap):
@@ -126,6 +132,8 @@ class TestLoadMapSpec:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             load_map_spec("{not json")
+        with pytest.raises(ParseError, match="recursion"):
+            load_map_spec('{"type": ' + "[" * 100_000)
 
     def test_non_object_spec(self, tmp_path):
         path = tmp_path / "map.json"
@@ -279,6 +287,46 @@ class TestCli:
         assert run_cli(capsys, [])[0] == 2
 
 
+class TestCliSurface:
+    # every subcommand with its option strings, less -h/--help: 59 in all
+    OPTIONS = {
+        "allowed": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
+        "forbidden": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
+        "basic": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
+        "shortest": ["--map", "--n-max", "--cell-budget", "--unsafe", "--format", "--out"],
+        "bound": ["--map", "--method", "--orientation", "--format", "--out"],
+        "avoiders": ["--patterns", "--n", "--node-budget", "--unsafe", "--format", "--out"],
+        "count": ["--patterns", "--n", "--node-budget", "--format", "--out"],
+        "sample": [
+            "--map", "--n", "--grid", "--random", "--seed", "--tie-eps", "--scan-missing",
+            "--format", "--out",
+        ],
+        "check-basis": ["--patterns", "--m-max", "--format", "--out"],
+        "length-check": ["--lengths", "--format", "--out"],
+        "verify": ["--only", "--format", "--out"],
+    }
+    OPS = {"allowed": exact_allowed, "forbidden": exact_forbidden, "basic": exact_basic_forbidden}
+
+    def subparsers(self) -> dict:
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_subcommands_and_options(self):
+        found = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in self.subparsers().items()
+        }
+        assert found == self.OPTIONS
+        assert sum(map(len, found.values())) == 59
+
+    def test_every_subcommand_has_a_handler(self):
+        # a subcommand added without one would fail at run time, not here
+        for name, p in self.subparsers().items():
+            assert callable(p.get_default("handler")), name
+            assert p.get_default("op") is self.OPS.get(name), name
+
+
 class TestCliExitCodes:
     def test_safety_cap(self, capsys):
         code, _, err = run_cli(capsys, ["allowed", "--map", "tent", "--n", "12"])
@@ -342,6 +390,46 @@ class TestCliExitCodes:
     def test_unknown_spec_field(self, capsys, spec):
         code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
         assert code == 2 and out == "" and "unknown field" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # deeper than the JSON decoder recurses
+            pytest.param("[" * 200_000 + "]" * 200_000, id="nested"),
+            # integers too long for json.loads to decode
+            pytest.param('{"type": "sawtooth", "N": %s}' % ("1" * 4301), id="long-N"),
+            pytest.param(
+                '{"type": "pwl", "pieces": [{"lo": "0", "hi": "1", "slope": %s}]}' % ("9" * 5000),
+                id="long-slope",
+            ),
+        ],
+    )
+    def test_undecodable_spec_file(self, capsys, tmp_path, text):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["basic", "--map", str(path), "--n", "3"])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"patlab: {path}: bad map-spec JSON:")
+
+    def test_huge_logistic_parameter(self, capsys):
+        spec = '{"type": "logistic", "r": %s}' % ("1" * 400)
+        code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
+        assert code == 2 and out == ""
+        assert err == "patlab: logistic parameter must satisfy 1 < r <= 4\n"
+
+    def test_length_check_over_the_limit(self, capsys, monkeypatch):
+        # h = 1700 would give a factorial too long for Python to print
+        code, out, err = run_cli(capsys, ["length-check", "--lengths", "3400"])
+        assert code == 3 and out == ""
+        assert err == "patlab: resource limit: shortest length 3400 exceeds the limit of 2000\n"
+        code, out, _ = run_cli(capsys, ["length-check", "--lengths", "2000"])
+        assert code == 0 and len(str(json.loads(out)["result"]["required"])) == 2568
+        monkeypatch.setattr("patlab.bounds.MAX_SHORTEST_LENGTH", 10)
+        assert run_cli(capsys, ["length-check", "--lengths", "10,50"])[0] == 0
+        code, out, err = run_cli(capsys, ["length-check", "--lengths", "50,11"])
+        assert code == 3 and out == ""
+        assert err == "patlab: resource limit: shortest length 11 exceeds the limit of 10\n"
 
     def test_usage_error(self, capsys):
         # argparse reports unknown flags on stderr and exits 2
@@ -470,6 +558,9 @@ class TestCache:
     def test_valid_json_but_wrong_entry_recomputed(self, capsys, tmp_path, monkeypatch, forged):
         self.assert_recomputed(capsys, tmp_path, monkeypatch, lambda record: forged)
 
+    def test_nested_entry_recomputed(self, capsys, tmp_path, monkeypatch):
+        self.assert_recomputed(capsys, tmp_path, monkeypatch, lambda record: "[" * 200_000)
+
     def test_undecodable_entry_recomputed(self, capsys, tmp_path, monkeypatch):
         self.assert_recomputed(capsys, tmp_path, monkeypatch, lambda record: b"\xff\xfe not utf-8")
 
@@ -488,6 +579,12 @@ class TestCache:
             ("basic", "[1,2]"),  # a body that is no pattern set
             ("basic", '{"n":4,"patterns":["banana","9999"]}'),  # words that are no patterns
             ("basic", '{"n":4,"patterns":["2134","1423"]}'),  # valid patterns, not sorted
+            pytest.param("basic", "[" * 200_000, id="basic-nested"),  # too deep to decode
+            pytest.param(  # the right set, but not its canonical JSON
+                "basic",
+                json.dumps({"n": 4, "patterns": ["1423", "2134", "2143", "3142", "4231"]}, indent=2),
+                id="basic-reindented",
+            ),
         ],
     )
     def test_rehashed_record_recomputed(self, capsys, tmp_path, monkeypatch, op, body):
@@ -534,7 +631,7 @@ class TestCache:
             raise AssertionError("cache work with the cache off")
 
         monkeypatch.delenv("PATLAB_CACHE_DIR", raising=False)
-        for name in ("_sha256", "canonical_json", "fetch", "keep"):
+        for name in ("_sha256", "canonical_json", "load", "store"):
             monkeypatch.setattr(patlab.cache, name, refuse)
         code, out, _ = run_cli(capsys, self.BASIC4)
         assert code == 0
