@@ -35,6 +35,12 @@ _SIDE_ORDER = {"below": (1, 0), "above": (0, 1)}  # indices of x, f(x), smaller 
 # the largest shortest length basis_length_check accepts: it gives h = 1000,
 # and 1000! has 2,568 digits, within the 4,300 that Python converts to text
 MAX_SHORTEST_LENGTH = 2_000
+# Python converts ints of at most 4,300 digits to text, so a report's
+# total must stay below this
+_TOTAL_LIMIT = 10**4300
+# the largest m_max basis_obstruction accepts: order m builds a witness
+# of length 2m + 3 and scans its windows, so the cost grows with m_max**2
+MAX_OBSTRUCTION_ORDER = 1_000
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> str:
@@ -211,6 +217,8 @@ def basis_length_check(lengths: Iterable[int]) -> AntichainLengthCheck:
         )
     half_min = ks[0] // 2
     total = sum(ks)
+    if total >= _TOTAL_LIMIT:
+        raise BadParameter("the lengths sum to a number of more than 4,300 digits")
     required = math.factorial(half_min) + len(ks) * (half_min - 1)
     return AntichainLengthCheck(ks, half_min, total, required, total >= required)
 
@@ -224,6 +232,8 @@ def basis_obstruction(patterns: Iterable[Sequence[int]], m_max: int) -> list[int
     """
     if m_max < 1:
         raise BadParameter("m_max must be at least 1")
+    if m_max > MAX_OBSTRUCTION_ORDER:
+        raise ResourceLimit(f"m_max {m_max} exceeds the limit of {MAX_OBSTRUCTION_ORDER}")
     pats = [check_perm(p) for p in patterns]
     if not pats:
         raise BadParameter("need at least one pattern")

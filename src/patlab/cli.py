@@ -6,13 +6,15 @@ stdout or --out; --format csv flattens just the result.  Exit codes:
 0 success, 2 validation, usage or file error, 3 resource limit exceeded
 (1 is reserved for `verify` finding a failed check).
 
-Exact subcommands and `avoiders` cap n at 10 unless --unsafe is given:
-beyond that the refinement, or the listing, grows roughly exponentially
-in n and is a deliberate act, not a typo.  `count` prints one integer
-and has no cap; --node-budget bounds its work.  `forbidden` also counts
-its n! candidates against --cell-budget.  Set PATLAB_CACHE_DIR to reuse
-exact pattern sets across runs; entries are keyed by map spec,
-operation, n, and engine version.
+No command caps n; budgets bound the work instead, and each refuses
+before the work starts where its size is known.  --cell-budget bounds
+the exact commands' refinement, checked against a lower bound on the
+items of each depth before the walk; `forbidden` also counts its n!
+candidates against it.  --node-budget bounds the avoider search of
+`avoiders` and `count`, and `avoiders` also charges its count * n
+listed entries against it before building any word.  Set
+PATLAB_CACHE_DIR to reuse exact pattern sets across runs; entries are
+keyed by map spec, operation, n, and engine version.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import BadParameter, PatlabError, ResourceLimit
 from .mapspec import SHORTHANDS, load_map_spec
 from .perms import DEFAULT_NODE_BUDGET, avoiders, count_avoiders, parse_perm
 
-SAFE_N_MAX = 10
 SAMPLE_NOTE = "sampled lower bound: absent patterns are not thereby forbidden"
 
 
@@ -59,13 +60,6 @@ def _parse_lengths(text: str) -> list[int]:
         raise BadParameter(f"--lengths must be comma-separated integers: {exc}") from None
 
 
-def _guard_n(value: int, flag: str, unsafe: bool) -> None:
-    if value > SAFE_N_MAX and not unsafe:
-        raise BadParameter(
-            f"{flag} {value} exceeds the safety cap {SAFE_N_MAX}; pass --unsafe to proceed"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (envelope core, exit code)
 
@@ -75,7 +69,6 @@ def _cmd_pattern_set(args) -> tuple[dict, int]:
 
     lm = load_map_spec(args.map)
     m = lm.require_exact()
-    _guard_n(args.n, "--n", args.unsafe)
     compute = lambda: args.op(m, args.n, args.cell_budget)
     result = cache.pattern_set(lm.spec, args.command, args.n, compute)
     return {"map": lm.label, "n": args.n, "exact": True, "result": result, "note": lm.note}, 0
@@ -84,7 +77,6 @@ def _cmd_pattern_set(args) -> tuple[dict, int]:
 def _cmd_shortest(args) -> tuple[dict, int]:
     lm = load_map_spec(args.map)
     m = lm.require_exact()
-    _guard_n(args.n_max, "--n-max", args.unsafe)
     value = shortest_forbidden_length(m, args.n_max, args.cell_budget)
     return {"map": lm.label, "n": args.n_max, "exact": True, "result": value, "note": lm.note}, 0
 
@@ -98,7 +90,6 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 def _cmd_avoiders(args) -> tuple[dict, int]:
     patterns = _parse_patterns(args.patterns)
-    _guard_n(args.n, "--n", args.unsafe)
     result = avoiders(patterns, args.n, args.node_budget).to_json()
     return {"map": None, "n": args.n, "exact": True, "result": result}, 0
 
@@ -205,15 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
         _add_map_flag(p)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
-        p.add_argument("--unsafe", action="store_true", help="lift the n cap of 10")
         _add_output_flags(p)
 
     p = sub.add_parser("shortest", help="least n with a forbidden pattern")
     p.set_defaults(handler=_cmd_shortest)
     _add_map_flag(p)
-    p.add_argument("--n-max", type=int, default=SAFE_N_MAX)
+    p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
-    p.add_argument("--unsafe", action="store_true", help="lift the n-max cap of 10")
     _add_output_flags(p)
 
     p = sub.add_parser("bound", help="geometric upper bound on the shortest forbidden length")
@@ -228,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True, help="comma-separated (use ';' for n >= 10)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--unsafe", action="store_true", help="lift the n cap of 10")
     _add_output_flags(p)
 
     p = sub.add_parser("count", help="number of avoiders without materializing them")

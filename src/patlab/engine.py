@@ -24,7 +24,13 @@ compared by cross-multiplication.
 
 The budget counts the items created at one depth (every segment between
 crossings is an item), so it bounds the time spent at the widest level.
-exact_forbidden also counts its n! candidates against it.
+A full walk checks it before the first item as well: the itineraries
+through pieces of slope above 1 in absolute value, each piece's image
+covering the next, have cylinders of positive length, and each such
+cylinder holds at least one item of its depth.  That count is N**k for
+sawtooth:N at depth k, so a walk too wide for the budget is refused at
+once instead of after the budget is spent.  exact_forbidden also counts
+its n! candidates against the budget.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
 is an allowed (n-1)-pattern extended by one final rank, which bounds the
@@ -33,6 +39,8 @@ candidate pool by n * |allowed(n-1)| instead of n!.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import Iterator
 
@@ -55,14 +63,16 @@ def walk(
     With `ranks`, only items whose order agrees with a pattern are kept:
     ranks[k] is where iterate k must sit among iterates 0..k.
     """
-    q = math.lcm(*(v.denominator for p in m.pieces for v in (p.lo, p.hi, p.slope, p.intercept)))
+    _check_budget(cell_budget)
+    q, pieces = _scaled(m, depth)
     scale = q**depth
-    # (lo, hi) * Q, closed flags, slope * q, intercept * Q
-    pieces = [
-        (int(p.lo * scale), int(p.hi * scale), p.lo_closed, p.hi_closed,
-         int(p.slope * q), int(p.intercept * scale))
-        for p in m.pieces
-    ]
+    if ranks is None:
+        for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
+            if bound > cell_budget:
+                raise ResourceLimit(
+                    f"refinement would exceed the cell budget of {cell_budget}: "
+                    f"at least {bound} items at depth {k} of {depth}"
+                )
     created = [0] * (depth + 1)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
@@ -87,6 +97,52 @@ def walk(
                     f"refinement exceeded the cell budget of {cell_budget}: "
                     f"{created[k1]} items at depth {k1} of {depth}"
                 )
+
+
+def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
+    """q, the least common denominator of the map's data, and the pieces as
+    (lo, hi, lo_closed, hi_closed, slope, intercept) in integers: the
+    ends and the intercept times Q = q**depth, the slope times q."""
+    q = math.lcm(*(v.denominator for p in m.pieces for v in (p.lo, p.hi, p.slope, p.intercept)))
+    scale = q**depth
+    return q, [
+        (int(p.lo * scale), int(p.hi * scale), p.lo_closed, p.hi_closed,
+         int(p.slope * q), int(p.intercept * scale))
+        for p in m.pieces
+    ]
+
+
+def _check_budget(cell_budget: int) -> None:
+    if cell_budget < 1:
+        raise BadParameter(f"the cell budget must be positive, got {cell_budget}")
+
+
+def _cylinder_counts(pieces, q) -> Iterator[int]:
+    """Yield, for k = 1, 2, ..., a lower bound on the items of depth k.
+
+    It counts the itineraries of k pieces, each of positive length and
+    slope above 1 in absolute value, whose pieces each lie inside the
+    image of the one before.  Each has a cylinder of positive length on
+    which no two iterates coincide, so at least one item of depth k lies
+    in it.  q and `pieces` are as _scaled returns them.
+    """
+    expanding = [(lo, hi, s, c) for lo, hi, _, _, s, c in pieces if lo < hi and abs(s) > q]
+    # image ends and piece ends, both times Q * q
+    starts = [lo * q for lo, *_ in expanding]
+    ends = [hi * q for _, hi, *_ in expanding]
+    runs = []  # the pieces inside each image are a contiguous run
+    for lo, hi, s, c in expanding:
+        y0, y1 = sorted((s * lo + c * q, s * hi + c * q))
+        runs.append((bisect.bisect_left(starts, y0), bisect.bisect_right(ends, y1)))
+    counts = [1] * len(expanding)
+    while True:
+        yield sum(counts)
+        diff = [0] * (len(counts) + 1)
+        for count, (a, b) in zip(counts, runs):
+            if a < b:
+                diff[a] += count
+                diff[b] -= count
+        counts = list(itertools.accumulate(diff[:-1]))
 
 
 def _split(pieces, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
@@ -216,6 +272,7 @@ def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
+    _check_budget(cell_budget)
     candidates = math.factorial(n)
     if candidates > cell_budget:
         raise ResourceLimit(

@@ -10,9 +10,11 @@ whose windows reduce to a forbidden pattern, by a transfer-state table
 time, a state keeps only the ranks of the longest suffix of the placed
 values that reduces to a proper prefix of a forbidden pattern, among
 those values and the unused ones; many prefixes share a state.
-`count_avoiders` sums counts over the states of one depth at a time.
-`avoiders` keeps every depth, marks the states that reach a full
-permutation, then walks those in ascending order.
+One forward pass sums the counts over the states of one depth at a
+time; `count_avoiders` keeps only the last depth.  `avoiders` keeps each
+depth's states, expands them again from the last depth back to keep the
+moves into states that reach a full permutation, then walks those in
+ascending order.
 
 >>> reduce_values([3, 4.2, -2, 1.7, 1])
 (4, 5, 1, 3, 2)
@@ -27,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameter, DuplicateValue, ParseError, ResourceLimit
 
@@ -84,9 +86,11 @@ def contains(pi: Sequence[int], sigma: Sequence[int]) -> bool:
     k = len(sigma)
     if k > len(pi):
         return False
-    return any(
-        reduce_values(pi[i : i + k]) == sigma for i in range(len(pi) - k + 1)
-    )
+    # a window reduces to sigma when its entries rise along the positions
+    # of sigma's values 1, 2, ..., k: test each step at every offset at once
+    pos = sorted(range(k), key=sigma.__getitem__)
+    steps = [[x < y for x, y in zip(pi[a:], pi[b:])] for a, b in zip(pos, pos[1:])]
+    return any(map(all, zip(*steps))) if steps else True
 
 
 def is_antichain(patterns: Iterable[Sequence[int]]) -> bool:
@@ -134,7 +138,7 @@ def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list
     return row
 
 
-def _expander(by_len: dict[int, set[Perm]], n: int, node_budget: int):
+def _expander(by_len: dict[int, set[Perm]], n: int):
     """Return expand(layer, depth), which yields (state, moves) for each state of a depth.
 
     The state after `depth` placed values is the tail: the ranks (from 0),
@@ -142,22 +146,13 @@ def _expander(by_len: dict[int, set[Perm]], n: int, node_budget: int):
     suffix of the placed values that reduces to a proper prefix of a
     forbidden pattern.  No window completed later can reach further back,
     so the tail is all the future sees.  A move (j, next tail) places the
-    j-th smallest unused value (from 0); moves come in ascending j.  The
-    budget bounds the moves examined, charged a whole depth at a time.
+    j-th smallest unused value (from 0); moves come in ascending j.
     """
     prefixes = {reduce_values(p[:k]) for forb in by_len.values() for p in forb for k in range(1, len(p))}
     rows: dict[Perm, list] = {}
-    remaining = node_budget
 
-    def expand(layer: Collection[Perm], depth: int) -> Iterator[tuple[Perm, list]]:
-        nonlocal remaining
+    def expand(layer: Iterable[Perm], depth: int) -> Iterator[tuple[Perm, list]]:
         unused = n - depth
-        remaining -= len(layer) * unused
-        if remaining < 0:
-            raise ResourceLimit(
-                f"avoider search exceeded the node budget of {node_budget}: "
-                f"{len(layer)} states at depth {depth} of {n}"
-            )
         for tail in layer:
             cuts = sorted(tail)
             order = tuple(map(cuts.index, tail))
@@ -174,28 +169,67 @@ def _expander(by_len: dict[int, set[Perm]], n: int, node_budget: int):
     return expand
 
 
+def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
+    """Yield the states of each depth 0..n, each with the number of ways to reach it.
+
+    The budget bounds the moves examined: each state at depth k is
+    charged one move per unused value, n - k, a whole depth at a time.
+    """
+    if node_budget < 1:
+        raise BadParameter(f"the node budget must be positive, got {node_budget}")
+    remaining = node_budget
+    counts: dict[Perm, int] = {(): 1}
+    yield counts
+    for depth in range(n):
+        remaining -= len(counts) * (n - depth)
+        if remaining < 0:
+            raise ResourceLimit(
+                f"avoider search exceeded the node budget of {node_budget}: "
+                f"{len(counts)} states at depth {depth} of {n}"
+            )
+        nxt: dict[Perm, int] = {}
+        for tail, out in expand(counts, depth):
+            c = counts[tail]
+            for _, t in out:
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+        yield counts
+
+
 def avoiders(
     patterns: Iterable[Sequence[int]],
     n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> "PatternSet":
-    """All permutations of 1..n with no window reducing to a given pattern."""
+    """All permutations of 1..n with no window reducing to a given pattern.
+
+    The listing holds count * n entries, charged against the node budget
+    before any word is built.
+    """
     if n < 1:
         raise BadParameter("n must be at least 1")
     by_len = _group_by_length(patterns)
     if not by_len:
         return PatternSet(n, tuple(all_perms(n)))
-    expand = _expander(by_len, n, node_budget)
-    tables: list[dict[Perm, list]] = []
-    layer: Collection[Perm] = [()]
-    for depth in range(n):
-        tables.append(dict(expand(layer, depth)))
-        layer = {nxt for out in tables[-1].values() for _, nxt in out}
-    # backward pass: keep only moves into states that reach depth n
-    for moves in reversed(tables):
-        for out in moves.values():
-            out[:] = [move for move in out if move[1] in layer]
-        layer = {tail for tail, out in moves.items() if out}
+    expand = _expander(by_len, n)
+    layers = list(_forward(expand, n, node_budget))
+    count = sum(layers[n].values())
+    if count == 0:
+        return PatternSet(n, ())
+    if count * n > node_budget:
+        raise ResourceLimit(
+            f"avoider listing exceeded the node budget of {node_budget}: "
+            f"{count} avoiders of length {n}"
+        )
+    # backward pass: expand each depth again, keeping only moves into states that reach depth n
+    live = layers.pop()
+    tables: list[dict[Perm, list]] = [{} for _ in range(n)]
+    for depth in reversed(range(n)):
+        for tail, out in expand(layers.pop(), depth):
+            out = [move for move in out if move[1] in live]
+            if out:
+                tables[depth][tail] = out
+        live = tables[depth]
     # depth first, smallest value first: the avoiders come out in lexicographic order
     found: list[Perm] = []
     stack = [((), tuple(range(1, n + 1)), ())]
@@ -220,15 +254,8 @@ def count_avoiders(
     by_len = _group_by_length(patterns)
     if not by_len:
         return math.factorial(n)
-    expand = _expander(by_len, n, node_budget)
-    counts: dict[Perm, int] = {(): 1}
-    for depth in range(n):
-        nxt: dict[Perm, int] = {}
-        for tail, out in expand(counts, depth):
-            c = counts[tail]
-            for _, t in out:
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
+    for counts in _forward(_expander(by_len, n), n, node_budget):
+        pass
     return sum(counts.values())
 
 

@@ -136,6 +136,13 @@ class TestLengthBudget:
             basis_length_check([40, 11])
 
 
+    def test_total_too_long_to_print(self):
+        # refused before the report is built: its total could not be printed
+        with pytest.raises(BadParameter, match="more than 4,300 digits"):
+            basis_length_check([2, 10**4300 - 1])
+        assert len(str(basis_length_check([2, 10**4299 - 1]).total)) == 4300
+
+
 class TestBasisObstruction:
     def test_peakless_pair(self):
         assert basis_obstruction([(1, 3, 2), (2, 3, 1)], 3) == [1, 2, 3]
@@ -156,3 +163,16 @@ class TestBasisObstruction:
             basis_obstruction([(1, 3, 2)], 0)
         with pytest.raises(BadParameter):
             basis_obstruction([], 3)
+
+    def test_order_limit(self, monkeypatch):
+        assert len(basis_obstruction([(1, 3, 2), (2, 3, 1)], 1000)) == 1000
+        with pytest.raises(ResourceLimit, match="m_max 2001 exceeds the limit of 1000"):
+            basis_obstruction([(1, 3, 2)], 2001)
+
+        def no_witness(*args, **kwargs):
+            raise AssertionError("built a witness although m_max is over the limit")
+
+        monkeypatch.setattr("patlab.bounds.MAX_OBSTRUCTION_ORDER", 3)
+        monkeypatch.setattr("patlab.bounds.witness", no_witness)
+        with pytest.raises(ResourceLimit, match="m_max 4 exceeds the limit of 3"):
+            basis_obstruction([(1, 3, 2)], 4)

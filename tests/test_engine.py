@@ -78,6 +78,33 @@ class TestAllowed:
             exact_allowed(alt_sawtooth(3), 6, cell_budget=widest - 1)
 
 
+class TestBudgetChecks:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget(self, budget):
+        for run in (exact_allowed, exact_forbidden, exact_basic_forbidden, shortest_forbidden_length):
+            with pytest.raises(BadParameter, match=f"cell budget must be positive, got {budget}"):
+                run(tent(), 3, cell_budget=budget)
+        with pytest.raises(BadParameter, match="cell budget must be positive"):
+            is_realized(tent(), (1, 2, 3), cell_budget=budget)
+
+    def test_wide_walk_refused_before_the_first_item(self, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("split an item although the walk is too wide for the budget")
+
+        monkeypatch.setattr("patlab.engine._split", no_split)
+        # sawtooth:4 has 4**11 = 4,194,304 cylinders at depth 11
+        with pytest.raises(
+            ResourceLimit, match="cell budget of 4000000: at least 4194304 items at depth 11 of 11"
+        ):
+            exact_allowed(sawtooth(4), 12)
+        with pytest.raises(ResourceLimit, match="cell budget of 63: at least 64 items at depth 3 of 5"):
+            next(walk(sawtooth(4), 5, cell_budget=63))
+
+    def test_shortest_checks_each_length_on_its_own(self):
+        # tent has 2**29 cylinders at depth 29, but the answer comes from depth 2
+        assert shortest_forbidden_length(tent(), 30) == 3
+
+
 class TestForbidden:
     def test_tent(self):
         assert set(exact_forbidden(tent(), 3)) == {(3, 2, 1)}

@@ -288,14 +288,14 @@ class TestCli:
 
 
 class TestCliSurface:
-    # every subcommand with its option strings, less -h/--help: 59 in all
+    # every subcommand with its option strings, less -h/--help: 54 in all
     OPTIONS = {
-        "allowed": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
-        "forbidden": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
-        "basic": ["--map", "--n", "--cell-budget", "--unsafe", "--format", "--out"],
-        "shortest": ["--map", "--n-max", "--cell-budget", "--unsafe", "--format", "--out"],
+        "allowed": ["--map", "--n", "--cell-budget", "--format", "--out"],
+        "forbidden": ["--map", "--n", "--cell-budget", "--format", "--out"],
+        "basic": ["--map", "--n", "--cell-budget", "--format", "--out"],
+        "shortest": ["--map", "--n-max", "--cell-budget", "--format", "--out"],
         "bound": ["--map", "--method", "--orientation", "--format", "--out"],
-        "avoiders": ["--patterns", "--n", "--node-budget", "--unsafe", "--format", "--out"],
+        "avoiders": ["--patterns", "--n", "--node-budget", "--format", "--out"],
         "count": ["--patterns", "--n", "--node-budget", "--format", "--out"],
         "sample": [
             "--map", "--n", "--grid", "--random", "--seed", "--tie-eps", "--scan-missing",
@@ -318,7 +318,7 @@ class TestCliSurface:
             for name, p in self.subparsers().items()
         }
         assert found == self.OPTIONS
-        assert sum(map(len, found.values())) == 59
+        assert sum(map(len, found.values())) == 54
 
     def test_every_subcommand_has_a_handler(self):
         # a subcommand added without one would fail at run time, not here
@@ -328,14 +328,8 @@ class TestCliSurface:
 
 
 class TestCliExitCodes:
-    def test_safety_cap(self, capsys):
-        code, _, err = run_cli(capsys, ["allowed", "--map", "tent", "--n", "12"])
-        assert code == 2 and "--unsafe" in err
-
-    def test_unsafe_lifts_cap(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["allowed", "--map", "tent", "--n", "11", "--unsafe"]
-        )
+    def test_no_n_cap(self, capsys):
+        code, out, _ = run_cli(capsys, ["allowed", "--map", "tent", "--n", "11"])
         assert code == 0 and json.loads(out)["n"] == 11
 
     def test_unknown_map(self, capsys):
@@ -441,6 +435,8 @@ class TestCliExitCodes:
             ["allowed", "--map", "tent", "--n", "3", "--threads", "2"],
             ["avoiders", "--patterns", "132,231", "--n", "5", "--count-only"],
             ["count", "--patterns", "132,231", "--n", "5", "--unsafe"],
+            ["allowed", "--map", "tent", "--n", "3", "--unsafe"],
+            ["avoiders", "--patterns", "132,231", "--n", "5", "--unsafe"],
         ],
     )
     def test_removed_flags(self, capsys, argv):
@@ -451,7 +447,7 @@ class TestCliExitCodes:
         "argv",
         [
             ["count", "--patterns", "21", "--n", "3000", "--node-budget", "200000"],
-            ["avoiders", "--patterns", "21", "--n", "3000", "--unsafe", "--node-budget", "200000"],
+            ["avoiders", "--patterns", "21", "--n", "3000", "--node-budget", "200000"],
         ],
     )
     def test_deep_n_exhausts_the_node_budget(self, capsys, argv):
@@ -464,10 +460,85 @@ class TestCliExitCodes:
 
     def test_forbidden_candidates_exceed_budget(self, capsys):
         started = time.perf_counter()
-        code, out, err = run_cli(capsys, ["forbidden", "--map", "tent", "--n", "11", "--unsafe"])
+        code, out, err = run_cli(capsys, ["forbidden", "--map", "tent", "--n", "11"])
         assert time.perf_counter() - started < 1.0
         assert code == 3 and out == ""
         assert "39916800 candidates" in err and "cell budget of 4000000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allowed", "--map", "tent", "--n", "3", "--cell-budget", "0"],
+            ["forbidden", "--map", "tent", "--n", "3", "--cell-budget", "-1"],
+            ["shortest", "--map", "tent", "--cell-budget", "-1"],
+            ["avoiders", "--patterns", "123", "--n", "3", "--node-budget", "0"],
+            ["count", "--patterns", "123", "--n", "3", "--node-budget", "-5"],
+        ],
+    )
+    def test_non_positive_budget(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        flag, value = argv[-2:]
+        assert code == 2 and out == ""
+        assert err == f"patlab: the {flag[2:].replace('-', ' ')} must be positive, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message, seconds",
+        [
+            pytest.param(
+                ["allowed", "--map", "sawtooth:4", "--n", "12"],
+                "at least 4194304 items at depth 11 of 11",
+                1.0,
+                id="allowed",
+            ),
+            # the depth-1 walk of n = 2 runs; the depth-2 walk of n = 3 is refused
+            pytest.param(
+                ["shortest", "--map", "sawtooth:10000", "--n-max", "3"],
+                "at least 100000000 items at depth 2 of 2",
+                5.0,
+                id="shortest",
+            ),
+            pytest.param(
+                ["avoiders", "--patterns", "123", "--n", "11"],
+                "listing exceeded the node budget of 50000000: 7477162 avoiders of length 11",
+                1.0,
+                id="avoiders",
+            ),
+        ],
+    )
+    def test_over_budget_work_is_refused_before_it_starts(self, capsys, argv, message, seconds):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - started < seconds
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("patlab: resource limit:") and message in line
+
+    def test_shortest_checks_each_depth_it_walks(self, capsys):
+        # 2**29 cylinders at depth 29 would exceed the budget, but n = 3 answers first
+        code, out, _ = run_cli(capsys, ["shortest", "--map", "tent", "--n-max", "30"])
+        assert code == 0 and json.loads(out)["result"] == 3
+
+    def test_length_check_total_too_long_to_print(self, capsys):
+        nines = "9" * 4300
+        code, out, err = run_cli(capsys, ["length-check", "--lengths", f"2,{nines},{nines}"])
+        assert code == 2 and out == ""
+        assert err == "patlab: the lengths sum to a number of more than 4,300 digits\n"
+        # 2 + (10**4299 - 1) has 4,300 digits
+        code, out, _ = run_cli(capsys, ["length-check", "--lengths", f"2,{nines[1:]}"])
+        assert code == 0 and len(str(json.loads(out)["result"]["total"])) == 4300
+
+    def test_check_basis_order_limit(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["check-basis", "--patterns", "132,231", "--m-max", "1000"])
+        assert code == 0 and json.loads(out)["result"] == list(range(1, 1001))
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["check-basis", "--patterns", "132,231", "--m-max", "2001"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert err == "patlab: resource limit: m_max 2001 exceeds the limit of 1000\n"
+        monkeypatch.setattr("patlab.bounds.MAX_OBSTRUCTION_ORDER", 4)
+        assert run_cli(capsys, ["check-basis", "--patterns", "132,231", "--m-max", "4"])[0] == 0
+        code, _, err = run_cli(capsys, ["check-basis", "--patterns", "132,231", "--m-max", "5"])
+        assert code == 3 and "m_max 5 exceeds the limit of 4" in err
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -64,6 +64,9 @@ class TestContains:
     def test_longer_pattern_never_contained(self):
         assert not contains((2, 1), (1, 2, 3))
 
+    def test_length_one_pattern_always_contained(self):
+        assert contains((1,), (1,)) and contains((3, 1, 2), (1,))
+
     def test_brute_force_agreement(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -196,6 +199,19 @@ class TestAvoiders:
             with pytest.raises(ResourceLimit) as info:
                 run([(1, 3, 2)], 8, node_budget=20)
             assert "node budget of 20: 8 states at depth 1 of 8" in str(info.value)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget(self, budget):
+        for run in (count_avoiders, avoiders):
+            with pytest.raises(BadParameter, match=f"node budget must be positive, got {budget}"):
+                run([(1, 3, 2)], 4, node_budget=budget)
+
+    def test_listing_is_charged_before_any_word_is_built(self, monkeypatch):
+        # 17 avoiders of 321 at n = 4 hold 68 entries; the table needs far fewer moves
+        assert len(avoiders([(3, 2, 1)], 4, node_budget=68)) == 17
+        monkeypatch.setattr("patlab.perms.PatternSet", None)  # building the listing would fail
+        with pytest.raises(ResourceLimit, match="node budget of 67: 17 avoiders of length 4"):
+            avoiders([(3, 2, 1)], 4, node_budget=67)
 
 
 class TestTextForms:

@@ -5,11 +5,17 @@ The maps have two or three ramps on a grid of twelfths, with random
 ownership of every breakpoint (so jumps land on either side), and may
 carry a zero-length point piece at a breakpoint or at an end of [0, 1].
 Each property is checked against exact Fraction orbits or against
-another entry point of the engine.
+another entry point of the engine.  The walk's lower bound on the items
+of each depth is checked on maps of quarters whose ramps may also be the
+identity or an involution, which fully cover themselves and yet carry
+no item past the first depth.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +23,20 @@ from patlab import (
     PwlMap,
     PwlPiece,
     all_perms,
+    alt_sawtooth,
     avoiders,
+    count_avoiders,
     diagonal_region,
     exact_allowed,
     exact_basic_forbidden,
     is_realized,
+    load_map_spec,
     reduce_values,
     refined_piece_count,
+    sawtooth,
+    tent,
 )
-from patlab.engine import walk
+from patlab.engine import _cylinder_counts, _scaled, walk
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -156,3 +167,88 @@ def test_refined_piece_count_matches_its_definition(m, orientation):
         xs = [*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:]))]
         count += any(past(p, x) for x in xs if p.interval.contains(x))
     assert refined_piece_count(m, orientation) == count
+
+
+@st.composite
+def bound_maps(draw):
+    """Ramps on a grid of quarters, each a line, the identity or the
+    involution x -> lo + hi - x, with point pieces at some breakpoints,
+    of slope 0 or of a steep slope that no item may follow."""
+    cuts = draw(st.lists(st.integers(1, 3), max_size=2, unique=True))
+    edges = [F(0), *sorted(F(c, 4) for c in cuts), F(1)]
+    points = draw(st.sets(st.sampled_from(edges), max_size=2))
+    heights = st.integers(0, 4).map(lambda k: F(k, 4))
+    pieces = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        kind = draw(st.sampled_from(["line", "identity", "involution"]))
+        if kind == "line":
+            y_lo = draw(heights)
+            y_hi = draw(heights.filter(lambda y: y != y_lo))
+        else:
+            y_lo, y_hi = (lo, hi) if kind == "identity" else (hi, lo)
+        slope = (y_hi - y_lo) / (hi - lo)
+        lo_closed = lo not in points and (i == 0 or not pieces[-1].hi_closed)
+        hi_closed = hi not in points and (hi == 1 or draw(st.booleans()))
+        pieces.append(PwlPiece(lo, hi, lo_closed, hi_closed, slope, y_lo - slope * lo))
+    for x in sorted(points):
+        slope, y = draw(st.sampled_from([0, 4, -4])), draw(heights)
+        pieces.append(PwlPiece(x, x, True, True, slope, y - slope * x))
+    return PwlMap(tuple(pieces))
+
+
+def cylinder_bounds(m, depth):
+    q, pieces = _scaled(m, depth)
+    return list(islice(_cylinder_counts(pieces, q), depth))
+
+
+def assert_bound_below_items(m, depth):
+    items = Counter(item[0] for item in walk(m, depth, cell_budget=10**9))
+    bounds = cylinder_bounds(m, depth)
+    assert all(bound <= items[k] for k, bound in enumerate(bounds, start=1)), (bounds, items)
+
+
+@PROPERTY
+@given(bound_maps(), st.integers(1, 3))
+def test_cylinder_bound_is_at_most_the_items_of_each_depth(m, depth):
+    assert_bound_below_items(m, depth)
+
+
+SKEW_TENT = load_map_spec(
+    '{"type":"pwl","pieces":[{"lo":"0","hi":"2/5","slope":"5/2","intercept":"0"},'
+    '{"lo":"2/5","hi":"1","slope":"-5/3","intercept":"5/3"}]}'
+).require_exact()
+
+
+@pytest.mark.parametrize(
+    "m, depth",
+    [(tent(), 10), (sawtooth(3), 6), (alt_sawtooth(5), 5), (SKEW_TENT, 8)],
+    ids=["tent", "sawtooth:3", "alt_sawtooth:5", "skew-tent"],
+)
+def test_cylinder_bound_on_the_benchmark_maps(m, depth):
+    assert_bound_below_items(m, depth)
+
+
+def test_cylinder_bound_counts_the_catalog_cylinders():
+    for n in (2, 3, 5):
+        assert cylinder_bounds(sawtooth(n), 4) == [n, n**2, n**3, n**4]
+    assert cylinder_bounds(tent(), 3) == [2, 4, 8]
+    # alt_sawtooth:5 at n = 9 stays within the default cell budget
+    assert cylinder_bounds(alt_sawtooth(5), 8)[-1] == 390_625
+
+
+patterns = st.lists(
+    st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple),
+    min_size=1,
+    max_size=3,
+)
+
+
+@PROPERTY
+@given(patterns, st.integers(1, 7))
+def test_avoiders_match_a_filter_of_all_perms(pats, n):
+    expected = [
+        p for p in all_perms(n)
+        if not any(reduce_values(p[i:i + len(s)]) == s for s in pats for i in range(n - len(s) + 1))
+    ]
+    assert list(avoiders(pats, n)) == expected
+    assert count_avoiders(pats, n) == len(expected)
