@@ -15,7 +15,14 @@ the others.  Within an item the old iterates never cross, so the new one
 crosses each at most once and its rank moves by one at every crossing;
 the crossing points are ties and are dropped, and so is a tied endpoint.
 A tie at depth k is a tie at every later depth, so nothing dropped could
-realize a longer pattern.
+realize a longer pattern.  The split starts at the first piece the
+item's image reaches, found by bisection on the piece ends.
+
+A walk pruned by a pattern (is_realized's) needs the new iterate at one
+rank t only, which holds exactly where it lies strictly above the old
+iterate of rank t - 1 and strictly below that of rank t.  Those are two
+linear inequalities, so each part is cut straight to its one segment, or
+to none, without tracing the other crossings.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -65,6 +72,7 @@ def walk(
     """
     _check_budget(cell_budget)
     q, pieces = _scaled(m, depth)
+    los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
     if ranks is None:
         for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
@@ -84,10 +92,14 @@ def walk(
         k1 = k + 1
         a, b = A[k], B[k]
         target = None if ranks is None else ranks[k1]
-        for sln, sld, slc, shn, shd, shc, s, c in _split(pieces, a, b, ln, ld, lc, hn, hd, hc):
+        for sln, sld, slc, shn, shd, shc, s, c in _split(
+            pieces, los, his, a, b, ln, ld, lc, hn, hd, hc
+        ):
             fa, fb = s * a // q, s * b // q + c
-            A1, B1 = A + (fa,), B + (fb,)
             segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc, target)
+            if not segments:
+                continue
+            A1, B1 = A + (fa,), B + (fb,)
             for pln, pld, plc, phn, phd, phc, r in segments:
                 stack.append((k1, pln, pld, phn, phd, plc, phc, A1, B1,
                               order[:r] + (k1,) + order[r:]))
@@ -145,17 +157,23 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
         counts = list(itertools.accumulate(diff[:-1]))
 
 
-def _split(pieces, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
+def _split(pieces, los, his, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     """Cut an item by the pieces its last iterate a*x + b lands in, into
-    (lo, hi, flags, slope, intercept) of each part."""
+    (lo, hi, flags, slope, intercept) of each part.  los and his list the
+    pieces' ends."""
+    y = a * ln + b * ld  # the image of the left end, times ld
     if ln * hd == hn * ld:
-        y = a * ln + b * ld
         for lo, hi, plc, phc, s, c in pieces:
             if (y > lo * ld or plc and y == lo * ld) and (y < hi * ld or phc and y == hi * ld):
                 return [(ln, ld, True, hn, hd, True, s, c)]
     out = []
-    # preimages of the pieces come left to right, so stop past the item
-    for lo, hi, plc, phc, s, c in pieces if a > 0 else reversed(pieces):
+    # preimages of the pieces come left to right: start at the first piece
+    # that reaches the image of the left end, and stop past the item
+    if a > 0:
+        scan = pieces[bisect.bisect_left(his, -(-y // ld)):]
+    else:
+        scan = reversed(pieces[:bisect.bisect_right(los, y // ld)])
+    for lo, hi, plc, phc, s, c in scan:
         if a > 0:
             pln, phn, den, pc_lo, pc_hi = lo - b, hi - b, a, plc, phc
         else:
@@ -197,28 +215,57 @@ def _ties(A, B, order, r, fa, fb, xn, xd) -> bool:
 
 
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
-    """Cut an item at the new iterate's crossings with the old ones, into
-    segments (lo, hi, flags, rank of the new iterate); with `target`, only
-    the segment where the new iterate has that rank.
+    """Cut a part at the new iterate's crossings with the old ones, into
+    segments (lo, hi, flags, rank of the new iterate).
+
+    With `target`, only the segment where the new iterate has that rank:
+    there it lies strictly above iterate order[target - 1] and strictly
+    below order[target], two linear inequalities in x that cut the part
+    to one segment or none.  A cut strictly inside the part becomes an
+    open end at the crossing; a cut at an end of the part opens that end.
 
     A point item keeps its one segment unless the new iterate ties an old
     one there: then it cuts into segments of length 0 with an open end.
     """
+    if target is not None:
+        for i, sign in ((target - 1, 1), (target, -1)):
+            if not 0 <= i < len(order):
+                continue  # the lowest or highest rank has one neighbour
+            j = order[i]
+            # the new iterate is on the right side of j where da * x + db > 0
+            da, db = sign * (fa - A[j]), sign * (fb - B[j])
+            if da > 0:  # x > -db / da
+                if -db * hd >= hn * da:
+                    return []
+                t = -db * ld - ln * da
+                if t > 0:
+                    ln, ld, lc = -db, da, False
+                elif t == 0:
+                    lc = False
+            elif da < 0:  # x < db / -da
+                if db * ld <= -ln * da:
+                    return []
+                t = db * hd + hn * da
+                if t < 0:
+                    hn, hd, hc = db, -da, False
+                elif t == 0:
+                    hc = False
+            elif db <= 0:  # wrong side of j, or equal to it, on the whole part
+                return []
+        return [(ln, ld, lc, hn, hd, hc, target)]
+
     r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
     if r0 < len(order) and A[order[r0]] == fa and B[order[r0]] == fb:
         return []  # the new iterate repeats an old one on the whole item
     r1 = _rank_near(A, B, order, fa, fb, hn, hd, -1)
     step = 1 if r1 >= r0 else -1
-    path = range(r0, r1 + step, step)
-    if target is not None:
-        path = (target,) if target in path else ()
 
     def crossing(j):
         num, den = B[j] - fb, fa - A[j]
         return (num, den) if den > 0 else (-num, -den)
 
     out = []
-    for r in path:
+    for r in range(r0, r1 + step, step):
         if r == r0:
             left = (ln, ld, lc and not _ties(A, B, order, r0, fa, fb, ln, ld))
         else:

@@ -33,7 +33,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import BadParameter, ParseError, UnknownMap, ValidationError
-from .pwl import PwlMap, PwlPiece, alt_sawtooth, sawtooth, tent
+from .pwl import PwlMap, PwlPiece, alt_sawtooth, rational, sawtooth, tent
 
 if TYPE_CHECKING:
     from .numeric import NumericMap
@@ -96,7 +96,7 @@ def _frac_field(piece: dict, field: str, default=None) -> Fraction:
             f"field {field!r} must be an integer or a rational string like \"1/2\""
         )
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"field {field!r}: {exc}") from None
 

@@ -48,6 +48,9 @@ _CONSTRUCTION_GRID = 1001
 _CHUNK = 1 << 15
 # most start points x orbit values held for each, per call (~35 bytes a value at peak)
 _SAMPLE_BUDGET = 10_000_000
+# most values in one orbit: _orbits steps one column per Python iteration,
+# about 10 us each, so this many keep a call near a second
+_MAX_ORBIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,15 @@ def _sample_points(cfg: SampleConfig) -> Iterator[np.ndarray]:
 
 
 def _check_budget(cfg: SampleConfig, width: int) -> None:
-    """Raise ResourceLimit, before any allocation, past _SAMPLE_BUDGET values."""
+    """Raise ResourceLimit, before any allocation, past _SAMPLE_BUDGET values
+    or _MAX_ORBIT values in one orbit."""
     points = cfg.grid_count + cfg.random_count
     if points * width > _SAMPLE_BUDGET:
         raise ResourceLimit(f"{points} start points x {width} orbit values = {points * width}, "
                             f"over the sample budget of {_SAMPLE_BUDGET}")
+    if width > _MAX_ORBIT:
+        raise ResourceLimit(f"orbits of {width} values exceed the limit of {_MAX_ORBIT} "
+                            "values per orbit")
 
 
 def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> PatternSet:

@@ -26,13 +26,38 @@ from .errors import BadParameter, OutOfDomain, ResourceLimit, ValidationError
 # most ramps sawtooth and alt_sawtooth build; a ramp is a piece of four
 # Fractions, about 0.6 kB, so a spec load stays near 6 MB
 _MAX_RAMPS = 10_000
+# most digits in a numerator, denominator or exponent: Python's limit on
+# int-to-str conversion, which writing a map spec back out needs
+_MAX_DIGITS = 4_300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+def rational(value) -> Fraction:
+    """Fraction(value), or ValueError for a value with more than _MAX_DIGITS
+    digits in its numerator or denominator.
+
+    A string's digits and exponent are checked before Fraction parses it:
+    "1e-99999999" would have it build 10**99999999 first.
+    """
+    too_large = f"more than {_MAX_DIGITS} digits in a numerator, denominator or exponent"
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if (any(sum(map(str.isdecimal, part)) > _MAX_DIGITS for part in mantissa.split("/"))
+                or len(exponent) > len(str(_MAX_DIGITS))
+                or exponent.isdecimal() and int(exponent) > _MAX_DIGITS):
+            raise ValueError(too_large)
+    x = Fraction(value)
+    if abs(x.numerator) >= _DIGITS_BOUND or x.denominator >= _DIGITS_BOUND:
+        raise ValueError(too_large)
+    return x
 
 
 def _frac(value) -> Fraction:
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise BadParameter(f"not a rational value: {value!r}") from exc
+        raise BadParameter(f"not a rational value: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def _alt_sawtooth_bounds() -> tuple[bool, str]:
         ok &= rep.component_count == (n - 1) // 2 and actual == rep.bound
         notes.append(f"alt_sawtooth:{n}: shortest {actual} == bound {rep.bound}")
 
-    for n in (7, 9):
+    for n in (7, 9, 11):
         # full enumeration at this length is out of desk range; instead show
         # one explicit pattern of exactly the bound's length is unrealizable
         rep = shortest_bound(alt_sawtooth(n), "simple", "below")

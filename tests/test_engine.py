@@ -30,7 +30,7 @@ from patlab import (
     shortest_forbidden_length,
     tent,
 )
-from patlab.engine import walk
+from patlab.engine import _place, walk
 
 F = Fraction
 
@@ -203,6 +203,77 @@ class TestIsRealized:
         w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
         assert not is_realized(alt_sawtooth(9), w)
         assert is_realized(alt_sawtooth(9), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+
+    def test_pruned_walk_items_per_depth(self):
+        """The pruned walk behind the alt_sawtooth:9 witness keeps these items."""
+        w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
+        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
+        counts = Counter(item[0] for item in walk(alt_sawtooth(9), 9, ranks=ranks))
+        assert [counts[k] for k in range(10)] == [1, 8, 32, 88, 192, 552, 688, 576, 256, 0]
+        assert sum(counts.values()) == 2393
+
+
+def placed(A, B, order, fa, fb, part, target):
+    """_place's segments of a part, with and without the target rank."""
+    whole = [s for s in _place(A, B, order, fa, fb, *part, None) if s[-1] == target]
+    return _place(A, B, order, fa, fb, *part, target), whole
+
+
+class TestPlaceTarget:
+    """The cut to one target rank against the full placement filtered to it.
+
+    Iterates are A[j] * x + B[j]; parts are (lo_num, lo_den, lo_closed,
+    hi_num, hi_den, hi_closed).
+    """
+
+    UNIT = (0, 1, True, 1, 1, True)
+
+    @pytest.mark.parametrize(
+        "fa, fb, target, expected",
+        [
+            # the new iterate 4x - 1 crosses 2x inside, at x = 1/2
+            (4, -1, 0, (0, 1, True, 1, 2, False, 0)),
+            (4, -1, 1, (1, 2, False, 1, 1, True, 1)),
+            # 4x crosses 2x at the left end: that end opens, keeping 0/1
+            (4, 0, 1, (0, 1, False, 1, 1, True, 1)),
+            (4, 0, 0, None),
+            # 4x - 2 crosses 2x at the right end
+            (4, -2, 0, (0, 1, True, 1, 1, False, 0)),
+            (4, -2, 1, None),
+            # the new iterate repeats its only neighbour
+            (2, 0, 0, None),
+            (2, 0, 1, None),
+        ],
+    )
+    def test_one_old_iterate(self, fa, fb, target, expected):
+        cut, whole = placed((2,), (0,), (0,), fa, fb, self.UNIT, target)
+        assert cut == whole == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_repeats_an_iterate_that_is_not_a_neighbour(self, target):
+        # old iterates 2x < 2x + 1; the new one repeats 2x
+        cut, whole = placed((2, 2), (0, 1), (0, 1), 2, 0, self.UNIT, target)
+        assert cut == whole == []
+
+    def test_lowest_and_highest_rank_have_one_neighbour(self):
+        # old iterates 2x < -2x + 4 on [0, 1]; the new 8x - 2 crosses them
+        # at 2/6 and 6/10, ends written unreduced as the crossings give them
+        A, B, order = (2, -2), (0, 4), (0, 1)
+        got = {t: placed(A, B, order, 8, -2, self.UNIT, t) for t in (0, 1, 2)}
+        assert all(cut == whole for cut, whole in got.values())
+        assert got[0][0] == [(0, 1, True, 2, 6, False, 0)]
+        assert got[1][0] == [(2, 6, False, 6, 10, False, 1)]
+        assert got[2][0] == [(6, 10, False, 1, 1, True, 2)]
+
+    @pytest.mark.parametrize(
+        "fa, fb, expected",
+        [(3, 0, {1}), (1, 0, {0}), (4, -1, set())],  # above, below and tied with 2x at 1/2
+    )
+    def test_point_item(self, fa, fb, expected):
+        point = (1, 2, True, 1, 2, True)
+        for target in (0, 1):
+            cut, whole = placed((2,), (0,), (0,), fa, fb, point, target)
+            assert cut == whole == ([(*point, target)] if target in expected else [])
 
 
 class TestGenericMapProperties:

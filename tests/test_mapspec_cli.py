@@ -406,6 +406,28 @@ class TestCliExitCodes:
         (line,) = err.splitlines()
         assert line.startswith(f"patlab: {path}: bad map-spec JSON:")
 
+    @pytest.mark.parametrize(
+        "slope", ["1e-99999", "1e-99999999", "1" * 4301], ids=["exponent", "huge-exponent", "digits"]
+    )
+    def test_map_value_too_large(self, capsys, slope):
+        # checked before Fraction parses it: "1e-99999999" would build 10**99999999
+        spec = '{"type": "pwl", "pieces": [{"lo": "0", "hi": "1", "slope": "%s"}]}' % slope
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "patlab: field 'slope': more than 4300 digits in a numerator, denominator or exponent\n"
+        )
+
+    def test_map_value_at_the_digit_limit(self):
+        spec = {"type": "pwl", "pieces": [{"lo": "0", "hi": "1", "slope": "1e-4299"}]}
+        lm = load_map_spec(spec)
+        assert load_map_spec(serialize(lm)) == lm
+        spec["pieces"][0]["slope"] = 10**4300  # an int that no JSON text can carry
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            load_map_spec(spec)
+
     def test_huge_logistic_parameter(self, capsys):
         spec = '{"type": "logistic", "r": %s}' % ("1" * 400)
         code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
@@ -566,6 +588,17 @@ class TestCliExitCodes:
         started = time.perf_counter()
         code, _, _ = run_cli(capsys, ["shortest", "--map", "sawtooth:1000000000", "--n-max", "2"])
         assert code == 3 and time.perf_counter() - started < 1.0
+
+    def test_sample_orbit_over_the_limit(self, capsys):
+        # one start point and 10**7 values fit the value budget, but the
+        # orbit is stepped one value per Python iteration
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["sample", "--map", "logistic:3.99", "--n", "10000000",
+                                          "--grid", "1", "--random", "0"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert err == ("patlab: resource limit: orbits of 10000000 values exceed the limit of "
+                       "100000 values per orbit\n")
 
     def test_sample_over_budget(self, capsys):
         code, out, err = run_cli(capsys, ["sample", "--map", "logistic:3.7", "--n", "1000000000000"])

@@ -138,7 +138,8 @@ class TestSampledAllowed:
 
 class TestSampleBudget:
     """Start points times the orbit values held for each may not exceed
-    _SAMPLE_BUDGET; the check comes before any orbit is computed."""
+    _SAMPLE_BUDGET, nor one orbit _MAX_ORBIT values; the checks come before
+    any orbit is computed."""
 
     CFG = SampleConfig(grid_count=5, random_count=5, seed=1)
 
@@ -149,6 +150,15 @@ class TestSampleBudget:
         monkeypatch.setattr(numeric_mod, "_orbits", None)  # fail if the sampler starts
         with pytest.raises(ResourceLimit, match="10 start points x 5 orbit values = 50"):
             sampled_allowed(lm, 5, self.CFG)
+
+    def test_orbit_length_limit(self, monkeypatch):
+        monkeypatch.setattr(numeric_mod, "_MAX_ORBIT", 6)
+        lm = NumericMap.logistic(3.7)
+        one_point = SampleConfig(grid_count=1, random_count=0)
+        assert len(sampled_allowed(lm, 6, one_point)) == 1
+        monkeypatch.setattr(numeric_mod, "_orbits", None)  # fail if the sampler starts
+        with pytest.raises(ResourceLimit, match="orbits of 7 values exceed the limit of 6"):
+            sampled_allowed(lm, 7, one_point)
 
     def test_scan_holds_three_values_per_orbit(self, monkeypatch):
         lm = NumericMap.logistic(3.7)

@@ -111,6 +111,20 @@ def test_is_realized_matches_allowed(m, n):
 
 
 @PROPERTY
+@given(pwl_maps())
+def test_pruned_walk_is_the_filtered_full_walk(m):
+    """The walk with ranks keeps exactly the full walk's items whose order
+    agrees with the pattern's prefix."""
+    for n in range(1, 6):
+        full = list(walk(m, n - 1))
+        for pi in all_perms(n):
+            ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(n)]
+            agree = [tuple(sorted(range(k + 1), key=pi.__getitem__)) for k in range(n)]
+            kept = [item for item in full if item[-1] == agree[item[0]]]
+            assert sorted(walk(m, n - 1, ranks=ranks)) == sorted(kept), pi
+
+
+@PROPERTY
 @given(pwl_maps(), st.integers(2, 6))
 def test_allowed_patterns_avoid_the_basic_forbidden_ones(m, n):
     basis = [p for k in range(2, n + 1) for p in exact_basic_forbidden(m, k)]

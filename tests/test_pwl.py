@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from patlab import (
+    BadParameter,
     OutOfDomain,
     PwlMap,
     PwlPiece,
@@ -124,6 +125,19 @@ class TestValidation:
     def test_eval_outside_domain(self):
         with pytest.raises(OutOfDomain):
             tent()(F(3, 2))
+
+    @pytest.mark.parametrize(
+        "slope",
+        ["1e-99999999", "1e-4300", "1" * 4301, F(1, 10**4300), 10**4300],
+        ids=["huge-exponent", "denominator-4301-digits", "digits-4301", "fraction", "int"],
+    )
+    def test_value_too_large(self, slope):
+        with pytest.raises(BadParameter, match="more than 4300 digits"):
+            PwlPiece(0, 1, True, True, slope, 0)
+
+    @pytest.mark.parametrize("slope", ["1e-4299", F(1, 10**4300 - 1)])
+    def test_value_at_the_digit_limit(self, slope):
+        assert PwlPiece(0, 1, True, True, slope, 0).slope == F(slope)
 
 
 class TestDiagonalGeometry:
