@@ -16,15 +16,27 @@ the pattern of a tied orbit is undefined, and a false pattern is worse
 than a lost sample.
 
 Start points are streamed in chunks of at most _CHUNK, so no more than
-one chunk of them and its orbits is held at a time.  Within a chunk,
-each orbit is argsorted once; that argsort serves the tie check, and the
-argsort rows (inverse patterns) are deduplicated by a lexicographic row
-sort before the distinct ones are turned into rank words.  The cap scan
-needs no sort at all: one pass over the start points steps the orbits
-and tests every length up to n_max as it goes, dropping each orbit once
-it can realize no longer cap.  pattern_at computes its orbit with the
-same helper as sampled_allowed, so one start point gets the same
-pattern in both.
+one chunk of them and its orbits is held at a time.  The orbit length n
+alone picks one of two paths.
+
+- n <= _MAX_CODED: no orbit is sorted.  One pass over the pairs of
+  positions i < j counts, for each value, the values below it (its rank
+  less one) and finds the smallest |x_j - x_i|, which is the smallest
+  gap between neighbours in sorted order because float subtraction is
+  monotone.  Each untied orbit becomes one int64 code, its rank word
+  read as base-n digits, so codes sort as the words do: a sort of the
+  codes deduplicates them per chunk and once more at the end, and the
+  distinct codes decode to rank words already in lexicographic order.
+- n > _MAX_CODED: the word does not fit in an int64, so each orbit is
+  argsorted once.  That argsort serves the tie check, and the argsort
+  rows (inverse patterns) are deduplicated by a lexicographic row sort
+  before the distinct ones are turned into rank words.
+
+The cap scan needs no sort at all: one pass over the start points steps
+the orbits and tests every length up to n_max as it goes, dropping each
+orbit once it can realize no longer cap.  pattern_at computes its orbit
+with the same helper as sampled_allowed, so one start point gets the
+same pattern from pattern_at as on either path.
 
 >>> lm = NumericMap.logistic(4.0)
 >>> format_perm(pattern_at(lm, 0.8, 4))
@@ -46,11 +58,15 @@ from .pwl import PwlMap
 DEFAULT_TIE_EPSILON = 1e-12
 _CONSTRUCTION_GRID = 1001
 _CHUNK = 1 << 15
-# most start points x orbit values held for each, per call (~35 bytes a value at peak)
+# most start points x orbit values held for each, per call; when every orbit
+# is distinct, peak RSS grows about 13 bytes a value for n <= _MAX_CODED and
+# 15 for longer orbits, most of it the result's tuples
 _SAMPLE_BUDGET = 10_000_000
 # most values in one orbit: _orbits steps one column per Python iteration,
 # about 10 us each, so this many keep a call near a second
 _MAX_ORBIT = 100_000
+# longest orbit whose rank word fits one int64 code: 15**15 < 2**63 <= 16**16
+_MAX_CODED = 15
 
 
 @dataclass(frozen=True)
@@ -133,12 +149,54 @@ class NumericMap:
 
 
 def _orbits(nm: NumericMap, pts: np.ndarray, n: int) -> np.ndarray:
-    """Orbit matrix: row i holds the first n iterates of pts[i]."""
-    orbit = np.empty((len(pts), n))
-    orbit[:, 0] = pts
+    """Orbit matrix: column k holds the first n iterates of pts[k]."""
+    orbit = np.empty((n, len(pts)))
+    orbit[0] = pts
     for i in range(1, n):
-        orbit[:, i] = nm.step(orbit[:, i - 1])
+        orbit[i] = nm.step(orbit[i - 1])
     return orbit
+
+
+def _rank_codes(orbit: np.ndarray, eps: float) -> np.ndarray:
+    """Codes of the columns of orbit whose values are pairwise eps apart.
+
+    A column of n <= _MAX_CODED values with ranks r_0, ..., r_{n-1} has
+    code sum_j (r_j - 1) n^(n-1-j), so codes sort as the rank words do.
+    """
+    n, m = orbit.shape
+    # below[j] counts the values under x_j: start from the falling word,
+    # then each rising pair i < j moves one count from i to j.  For
+    # distinct floats x_j - x_i > 0 exactly when x_j > x_i.  gap ends as
+    # the smallest neighbour gap in sorted order, the tie test of
+    # _untied_orders and pattern_at.
+    below = np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], m, axis=1)
+    gap = np.full(m, np.inf)
+    d = np.empty(m)
+    rising = np.empty(m, dtype=bool)
+    for j in range(1, n):
+        for i in range(j):
+            np.subtract(orbit[j], orbit[i], out=d)
+            np.greater(d, 0.0, out=rising)
+            below[j] += rising
+            below[i] -= rising
+            np.minimum(gap, np.abs(d, out=d), out=gap)
+    code = np.zeros(m, dtype=np.int64)
+    for j in range(n):
+        code *= n
+        code += below[j]
+    return code[gap >= eps]
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, ascending.
+
+    A sort and a neighbour test: np.unique hashes first on NumPy 2.3 and
+    later, which measured several times slower on a chunk of codes.
+    """
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def _untied_orders(orbit: np.ndarray, eps: float) -> np.ndarray:
@@ -177,7 +235,7 @@ def pattern_at(
         raise OutOfDomain(f"start point {x} outside [0,1]")
     if n < 1:
         raise BadParameter("n must be at least 1")
-    orbit = _orbits(nm, np.asarray([x], dtype=np.float64), n)[0]
+    orbit = _orbits(nm, np.asarray([x], dtype=np.float64), n)[:, 0]
     order = np.argsort(orbit)
     # float subtraction is monotone, so the closest pair of values is
     # adjacent in sorted order
@@ -222,11 +280,22 @@ def sampled_allowed(nm: NumericMap, n: int, cfg: SampleConfig | None = None) -> 
         raise BadParameter("n must be at least 1")
     cfg = cfg or SampleConfig()
     _check_budget(cfg, n)
-    found: set[Perm] = set()
-    for pts in _sample_points(cfg):
-        orders = _unique_rows(_untied_orders(_orbits(nm, pts, n), cfg.tie_epsilon))
-        found.update(map(tuple, (np.argsort(orders, axis=1) + 1).tolist()))
-    return PatternSet(n, tuple(sorted(found)))
+    if n > _MAX_CODED:
+        found: set[Perm] = set()
+        for pts in _sample_points(cfg):
+            orders = _unique_rows(_untied_orders(_orbits(nm, pts, n).T, cfg.tie_epsilon))
+            found.update(map(tuple, (np.argsort(orders, axis=1) + 1).tolist()))
+        return PatternSet(n, tuple(sorted(found)))
+    codes = _distinct(np.concatenate([
+        _distinct(_rank_codes(_orbits(nm, pts, n), cfg.tie_epsilon)) for pts in _sample_points(cfg)
+    ]))
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
+    words: list[Perm] = []
+    for start in range(0, len(codes), _CHUNK):
+        # one row of digits per position, a chunk of codes at a time so
+        # that only the words are held whole; zip turns the rows into words
+        words += zip(*(codes[start:start + _CHUNK] // weights % n + 1).tolist())
+    return PatternSet(n, tuple(words))
 
 
 def cap_pattern(n: int) -> Perm:

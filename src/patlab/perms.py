@@ -266,9 +266,12 @@ def count_avoiders(
 def format_perm(p: Sequence[int]) -> str:
     """Digit string for n <= 9, comma-separated entries otherwise."""
     q = check_perm(p)
-    if len(q) <= 9:
-        return "".join(str(e) for e in q)
-    return ",".join(str(e) for e in q)
+    return _template(len(q)) % q
+
+
+def _template(n: int) -> str:
+    """The %-format string that format_perm fills with a word of length n."""
+    return ("" if n <= 9 else ",").join(["%d"] * n)
 
 
 def parse_perm(text: str) -> Perm:
@@ -320,7 +323,10 @@ class PatternSet:
         return len(self.patterns)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "patterns": [format_perm(p) for p in self.patterns]}
+        # no check_perm here: from_perms checks every word, and the engines
+        # build permutations
+        template = _template(self.n)
+        return {"n": self.n, "patterns": [template % p for p in self.patterns]}
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternSet":

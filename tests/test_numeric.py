@@ -7,11 +7,14 @@ non-occurrence of specific patterns at a fixed seed, and determinism.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patlab import (
     BadParameter,
     NumericMap,
     OutOfDomain,
+    PatternSet,
     ResourceLimit,
     SampleConfig,
     TieDetected,
@@ -238,7 +241,7 @@ def pointwise_patterns(nm, n, cfg):
 class TestPointwiseOracle:
     """The vectorized sampler against pattern_at, one start point at a time."""
 
-    @pytest.mark.parametrize("n", [6, 10, 12])
+    @pytest.mark.parametrize("n", [6, 10, 12, 15, 16])
     def test_tent_on_a_dyadic_grid(self, n):
         # j/1024 reaches the fixed point 0 within eleven steps, so many orbits tie
         cfg = SampleConfig(grid_count=1023, random_count=0)
@@ -246,13 +249,101 @@ class TestPointwiseOracle:
         assert ties > 0
         assert set(sampled_allowed(NumericMap.from_pwl(tent()), n, cfg)) == expected
 
-    @pytest.mark.parametrize("r, n, eps", [(3.99, 14, 1e-12), (4.0, 20, 1e-12), (3.7, 8, 1e-3)])
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_tent_dyadic_grid_and_draws(self, n):
+        # every grid orbit ties from n = 13 on; the draws carry the patterns,
+        # on either side of the longest coded orbit
+        cfg = SampleConfig(grid_count=1023, random_count=1500, seed=5)
+        expected, ties = pointwise_patterns(NumericMap.from_pwl(tent()), n, cfg)
+        assert ties >= 1023 and len(expected) > 100
+        assert set(sampled_allowed(NumericMap.from_pwl(tent()), n, cfg)) == expected
+
+    @pytest.mark.parametrize("r, n, eps", [
+        (3.99, 14, 1e-12), (4.0, 20, 1e-12), (3.7, 8, 1e-3), (4.0, 15, 1e-12), (4.0, 16, 1e-12),
+    ])
     def test_logistic_long_orbits(self, r, n, eps):
         cfg = SampleConfig(grid_count=1500, random_count=1500, seed=4, tie_epsilon=eps)
         expected, ties = pointwise_patterns(NumericMap.logistic(r), n, cfg)
         got = set(sampled_allowed(NumericMap.logistic(r), n, cfg))
         assert len(got) > 50 and ties < 3000
         assert got == expected
+
+
+def argsort_codes(orbit, eps):
+    """Codes of the untied columns of orbit, from a stable argsort of each column."""
+    n = orbit.shape[0]
+    codes = []
+    for column in orbit.T:
+        order = np.argsort(column, kind="stable")
+        if n > 1 and np.diff(column[order]).min() < eps:
+            continue
+        codes.append(sum(int(r) * n ** (n - 1 - j) for j, r in enumerate(np.argsort(order))))
+    return codes
+
+
+@st.composite
+def orbit_matrices(draw):
+    """A float matrix of n <= 15 rows, some column pairs tied exactly or set
+    eps apart, one float below or above; and that eps."""
+    n = draw(st.integers(1, numeric_mod._MAX_CODED))
+    m = draw(st.integers(1, 12))
+    # a power of two is often exactly the difference of x and x + eps
+    eps = draw(st.sampled_from([1e-12, 2.0**-40, 2.0**-20, 0.01, 0.5]))
+    orbit = np.array(draw(st.lists(st.floats(0, 1), min_size=n * m, max_size=n * m))).reshape(n, m)
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        k = draw(st.integers(0, m - 1))
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        near = orbit[i, k] + eps
+        orbit[j, k] = draw(st.sampled_from(
+            [orbit[i, k], near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf)]
+        ))
+    return orbit, eps
+
+
+class TestRankCodes:
+    """Orbits of at most _MAX_CODED values are coded without a sort; longer
+    ones are argsorted.  n alone picks the path."""
+
+    CFG = SampleConfig(grid_count=300, random_count=300, seed=2)
+
+    def test_bound(self):
+        assert numeric_mod._MAX_CODED == 15
+        assert 15**15 < 2**63 <= 16**16
+
+    def test_codes_are_rank_words_in_base_n(self):
+        # ranks 3 1 2 -> digits 2 0 1 in base 3; the third column ties
+        orbit = np.array([[0.3, 0.1, 0.5], [0.1, 0.2, 0.5], [0.2, 0.3, 0.7]])
+        assert numeric_mod._rank_codes(orbit, 1e-12).tolist() == [2 * 9 + 0 * 3 + 1, 0 * 9 + 1 * 3 + 2]
+        assert numeric_mod._rank_codes(np.array([[0.4, 0.4]]), 1e-12).tolist() == [0, 0]
+
+    @given(orbit_matrices())
+    def test_codes_agree_with_argsort_ranks(self, case):
+        orbit, eps = case
+        assert numeric_mod._rank_codes(orbit, eps).tolist() == argsort_codes(orbit, eps)
+
+    def test_n_alone_picks_the_path(self, monkeypatch):
+        lm = NumericMap.logistic(4.0)
+        monkeypatch.setattr(numeric_mod, "_untied_orders", None)  # fail if the sort path runs
+        for n in (1, 2, 15):
+            assert len(sampled_allowed(lm, n, self.CFG)) > 0
+        with pytest.raises(TypeError):
+            sampled_allowed(lm, 16, self.CFG)
+        monkeypatch.undo()
+        monkeypatch.setattr(numeric_mod, "_rank_codes", None)  # fail if the code path runs
+        for n in (16, 20):
+            assert len(sampled_allowed(lm, n, self.CFG)) > 0
+        with pytest.raises(TypeError):
+            sampled_allowed(lm, 15, self.CFG)
+
+    @pytest.mark.parametrize("n", [2, 5, 15, 16, 20])
+    def test_every_orbit_tied(self, n):
+        # no two values of [0, 1] are 2 apart: nothing to concatenate or decode
+        cfg = SampleConfig(grid_count=300, random_count=300, tie_epsilon=2.0)
+        assert sampled_allowed(NumericMap.logistic(3.7), n, cfg) == PatternSet(n, ())
+
+    def test_one_value_never_ties(self):
+        cfg = SampleConfig(grid_count=300, random_count=300, tie_epsilon=2.0)
+        assert sampled_allowed(NumericMap.logistic(3.7), 1, cfg) == PatternSet(1, ((1,),))
 
 
 def cap_scan_oracle(nm, n_max, cfg):

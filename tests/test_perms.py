@@ -256,6 +256,15 @@ class TestPatternSet:
         assert data == {"n": 3, "patterns": ["123", "312"]}
         assert PatternSet.from_json(data) == ps
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 10, 11, 15, 23])
+    def test_json_words_are_format_perm(self, n):
+        # to_json formats without re-checking; format_perm checks first
+        rng = random.Random(n)
+        words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(60)]
+        ps = PatternSet.from_perms(n, words)
+        assert ps.to_json()["patterns"] == [format_perm(p) for p in ps]
+        assert PatternSet.from_json(ps.to_json()) == ps
+
     def test_bad_json(self):
         with pytest.raises(ParseError):
             PatternSet.from_json({"patterns": ["12"]})
