@@ -11,18 +11,20 @@ item at depth k is an interval on which iterates 0..k are all affine and
 pairwise distinct, so their rank order is constant there; the item
 carries that order.  One step splits an item by the preimages of the
 map's pieces under its last iterate, then places the new iterate among
-the others.  Within an item the old iterates never cross, so the new one
-crosses each at most once and its rank moves by one at every crossing;
-the crossing points are ties and are dropped, and so is a tied endpoint.
-A tie at depth k is a tie at every later depth, so nothing dropped could
-realize a longer pattern.  The split starts at the first piece the
-item's image reaches, found by bisection on the piece ends.
+the others.  The split starts at the first piece the item's image
+reaches, found by bisection on the piece ends.
 
-A walk pruned by a pattern (is_realized's) needs the new iterate at one
-rank t only, which holds exactly where it lies strictly above the old
-iterate of rank t - 1 and strictly below that of rank t.  Those are two
-linear inequalities, so each part is cut straight to its one segment, or
-to none, without tracing the other crossings.
+One rule places the new iterate: it has rank r exactly where it lies
+strictly above the old iterate of rank r - 1 and strictly below that of
+rank r, two linear inequalities that cut a part straight to one segment
+or to none.  Within a part the old iterates never cross, so the new one
+crosses each at most once and its rank moves by one at every crossing;
+the full walk cuts each rank from the one just right of the part's left
+end to the one just left of its right end.  A walk pruned by a pattern
+(is_realized's) cuts only the rank the pattern asks for.  The crossing
+points are ties and are dropped, and so is a tied endpoint.  A tie at
+depth k is a tie at every later depth, so nothing dropped could realize
+a longer pattern.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -209,73 +211,55 @@ def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
     return lo
 
 
-def _ties(A, B, order, r, fa, fb, xn, xd) -> bool:
-    # only the neighbours of the new iterate's rank can meet it at an endpoint
-    return any(fa * xn + fb * xd == A[j] * xn + B[j] * xd for j in order[max(r - 1, 0):r + 1])
-
-
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
-    """Cut a part at the new iterate's crossings with the old ones, into
-    segments (lo, hi, flags, rank of the new iterate).
+    """Cut a part into segments (lo, hi, flags, rank of the new iterate),
+    one for each rank the new iterate takes on it.
 
-    With `target`, only the segment where the new iterate has that rank:
-    there it lies strictly above iterate order[target - 1] and strictly
-    below order[target], two linear inequalities in x that cut the part
-    to one segment or none.  A cut strictly inside the part becomes an
-    open end at the crossing; a cut at an end of the part opens that end.
-
-    A point item keeps its one segment unless the new iterate ties an old
-    one there: then it cuts into segments of length 0 with an open end.
+    The new iterate has rank r exactly where it lies strictly above iterate
+    order[r - 1] and strictly below order[r]: two linear inequalities in x
+    that cut the part to one segment or none.  A cut strictly inside the
+    part becomes an open end at the crossing; a cut at an end of the part
+    opens that end, so a tie there is dropped.  With `target`, only that
+    rank is cut.  Without it, the ranks run from r0, just right of the
+    left end, to r1, just left of the right end: within a part the old
+    iterates never cross, so the new one passes every rank in between.
     """
-    if target is not None:
-        for i, sign in ((target - 1, 1), (target, -1)):
+    if target is None:
+        r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
+        r1 = _rank_near(A, B, order, fa, fb, hn, hd, -1)
+        step = 1 if r1 >= r0 else -1
+        ranks = range(r0, r1 + step, step)
+    else:
+        ranks = (target,)
+    out = []
+    for r in ranks:
+        sln, sld, slc, shn, shd, shc = ln, ld, lc, hn, hd, hc
+        for i, sign in ((r - 1, 1), (r, -1)):
             if not 0 <= i < len(order):
                 continue  # the lowest or highest rank has one neighbour
             j = order[i]
             # the new iterate is on the right side of j where da * x + db > 0
             da, db = sign * (fa - A[j]), sign * (fb - B[j])
             if da > 0:  # x > -db / da
-                if -db * hd >= hn * da:
-                    return []
-                t = -db * ld - ln * da
+                if -db * shd >= shn * da:
+                    break
+                t = -db * sld - sln * da
                 if t > 0:
-                    ln, ld, lc = -db, da, False
+                    sln, sld, slc = -db, da, False
                 elif t == 0:
-                    lc = False
+                    slc = False
             elif da < 0:  # x < db / -da
-                if db * ld <= -ln * da:
-                    return []
-                t = db * hd + hn * da
+                if db * sld <= -sln * da:
+                    break
+                t = db * shd + shn * da
                 if t < 0:
-                    hn, hd, hc = db, -da, False
+                    shn, shd, shc = db, -da, False
                 elif t == 0:
-                    hc = False
+                    shc = False
             elif db <= 0:  # wrong side of j, or equal to it, on the whole part
-                return []
-        return [(ln, ld, lc, hn, hd, hc, target)]
-
-    r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
-    if r0 < len(order) and A[order[r0]] == fa and B[order[r0]] == fb:
-        return []  # the new iterate repeats an old one on the whole item
-    r1 = _rank_near(A, B, order, fa, fb, hn, hd, -1)
-    step = 1 if r1 >= r0 else -1
-
-    def crossing(j):
-        num, den = B[j] - fb, fa - A[j]
-        return (num, den) if den > 0 else (-num, -den)
-
-    out = []
-    for r in range(r0, r1 + step, step):
-        if r == r0:
-            left = (ln, ld, lc and not _ties(A, B, order, r0, fa, fb, ln, ld))
+                break
         else:
-            left = (*crossing(order[r - 1] if step > 0 else order[r]), False)
-        if r == r1:
-            right = (hn, hd, hc and not _ties(A, B, order, r1, fa, fb, hn, hd))
-        else:
-            right = (*crossing(order[r] if step > 0 else order[r - 1]), False)
-        if left[2] and right[2] or left[0] * right[1] < right[0] * left[1]:
-            out.append((*left, *right, r))
+            out.append((sln, sld, slc, shn, shd, shc, r))
     return out
 
 

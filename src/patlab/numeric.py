@@ -60,7 +60,8 @@ _CONSTRUCTION_GRID = 1001
 _CHUNK = 1 << 15
 # most start points x orbit values held for each, per call; when every orbit
 # is distinct, peak RSS grows about 13 bytes a value for n <= _MAX_CODED and
-# 15 for longer orbits, most of it the result's tuples
+# 15 for longer orbits, most of it the result's tuples.  The cap scan holds
+# three values an orbit and also charges, as it goes, every value it steps
 _SAMPLE_BUDGET = 10_000_000
 # most values in one orbit: _orbits steps one column per Python iteration,
 # about 10 us each, so this many keep a call near a second
@@ -312,6 +313,11 @@ def first_missing_cap(
 
     Empirical only: non-observation at one seed is evidence, not proof,
     that the pattern is forbidden from that length on.
+
+    The three values held per orbit count against the sample budget before
+    the scan starts, and every value stepped past them counts as it is
+    computed: a map whose orbits keep rising ends in ResourceLimit once
+    the scan passes the budget or an orbit passes _MAX_ORBIT values.
     """
     if n_max < 3:
         raise BadParameter("n_max must be at least 3")
@@ -319,6 +325,7 @@ def first_missing_cap(
     _check_budget(cfg, 3)  # x_0, x_{n-2} and x_{n-1}, whatever n_max is
     eps = cfg.tie_epsilon
     seen: set[int] = set()
+    stepped = 0  # values computed past the first three of each orbit
     for pts in _sample_points(cfg):
         # cap(n) sorts as x_1 < ... < x_{n-2} < x_0 < x_{n-1}, so an orbit
         # realizes it untied iff each of those steps rises by eps.  One pass
@@ -332,9 +339,17 @@ def first_missing_cap(
             if n not in seen and np.any((x0 - lo >= eps) & (hi - x0 >= eps)):
                 seen.add(n)
             rising = hi - lo >= eps
-            if not rising.any():
+            if n == n_max or not rising.any():
                 break
-            x0, lo, hi = x0[rising], hi[rising], nm.step(hi[rising])
+            x0, lo = x0[rising], hi[rising]
+            stepped += len(lo)
+            if n >= _MAX_ORBIT:
+                raise ResourceLimit(f"the cap scan reached orbits of {n + 1} values, over the "
+                                    f"limit of {_MAX_ORBIT} values per orbit")
+            if stepped > _SAMPLE_BUDGET:
+                raise ResourceLimit(f"the cap scan stepped {stepped} orbit values by length "
+                                    f"{n + 1}, over the sample budget of {_SAMPLE_BUDGET}")
+            hi = nm.step(lo)
         if len(seen) == n_max - 2:
             return None
     return next(n for n in range(3, n_max + 1) if n not in seen)

@@ -606,6 +606,19 @@ class TestCliExitCodes:
         assert err.startswith("patlab: resource limit:") and err.count("\n") == 1
         assert "over the sample budget" in err
 
+    def test_rising_cap_scan_over_budget(self, capsys):
+        # x -> x + (1 - x) / 10**6: every orbit keeps rising, so each
+        # length of the scan steps all 32,768 orbits of the first chunk
+        creep = ('{"type":"pwl","pieces":[{"lo":"0","hi":"1","slope":"999999/1000000",'
+                 '"intercept":"1/1000000"}]}')
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["sample", "--map", creep, "--n", "3",
+                                          "--scan-missing", "100000000"])
+        assert time.perf_counter() - started < 5.0
+        assert code == 3 and out == ""
+        assert err == ("patlab: resource limit: the cap scan stepped 10027008 orbit values by "
+                       "length 309, over the sample budget of 10000000\n")
+
 
 class TestCache:
     def test_byte_identical_hits(self, capsys, tmp_path, monkeypatch):

@@ -5,6 +5,8 @@ kinds: exact small cases that dense sampling provably saturates,
 non-occurrence of specific patterns at a fixed seed, and determinism.
 """
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,8 @@ from patlab import (
     NumericMap,
     OutOfDomain,
     PatternSet,
+    PwlMap,
+    PwlPiece,
     ResourceLimit,
     SampleConfig,
     TieDetected,
@@ -217,6 +221,25 @@ class TestCapScan:
 
     def test_full_logistic_never_misses_small_caps(self):
         assert first_missing_cap(NumericMap.logistic(4.0), 5, SMALL) is None
+
+    # x -> x + (1 - x) / 100: every orbit rises for over 2,000 steps, so a
+    # longer scan ends only at the sample budget or the orbit limit
+    CREEP = NumericMap.from_pwl(PwlMap((PwlPiece(0, 1, True, True, F(99, 100), F(1, 100)),)))
+    TEN = SampleConfig(grid_count=5, random_count=5, seed=1)
+
+    def test_scan_charges_each_value_it_steps(self, monkeypatch):
+        monkeypatch.setattr(numeric_mod, "_SAMPLE_BUDGET", 1000)
+        # the first chunk is the five grid points: they step five values a
+        # length, and the 201st length past the first three passes 1,000
+        with pytest.raises(ResourceLimit, match="stepped 1005 orbit values by length 204, "
+                                                "over the sample budget of 1000"):
+            first_missing_cap(self.CREEP, 5000, self.TEN)
+
+    def test_scan_stops_at_the_orbit_limit(self, monkeypatch):
+        monkeypatch.setattr(numeric_mod, "_MAX_ORBIT", 50)
+        assert first_missing_cap(self.CREEP, 50, self.TEN) == 3
+        with pytest.raises(ResourceLimit, match="reached orbits of 51 values, over the limit of 50"):
+            first_missing_cap(self.CREEP, 51, self.TEN)
 
 
 def start_points(cfg):
