@@ -38,12 +38,25 @@ through pieces of slope above 1 in absolute value, each piece's image
 covering the next, have cylinders of positive length, and each such
 cylinder holds at least one item of its depth.  That count is N**k for
 sawtooth:N at depth k, so a walk too wide for the budget is refused at
-once instead of after the budget is spent.  exact_forbidden also counts
-its n! candidates against the budget.
+once instead of after the budget is spent.  The count does not depend on
+Q, so it runs before Q is built.  exact_forbidden also counts its n!
+candidates against the budget.
+
+One walk serves every exact query on a map at one length.  The module
+keeps one entry in process, the most recent full walk: the map, the items
+made at each depth, the rank words of its deepest level and the words of
+the items one level up that have no children.  It holds these until an
+exact call walks another map or walks deeper; a shallower walk of the
+same map, such as shortest_forbidden_length's first steps, leaves it
+alone.  exact_allowed, exact_forbidden, exact_basic_forbidden and each
+step of shortest_forbidden_length read depth n - 1 from it when the map
+compares equal, the depth is the same and no depth made more items than
+the caller's budget.  is_realized's pruned walk neither reads nor keeps it.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
 is an allowed (n-1)-pattern extended by one final rank, which bounds the
-candidate pool by n * |allowed(n-1)| instead of n!.
+candidate pool by n * |allowed(n-1)| instead of n!.  The allowed
+(n-1)-patterns come from the same walk to depth n - 1.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BadParameter, ResourceLimit
 from .perms import PatternSet, Perm, all_perms, check_perm
@@ -72,18 +85,25 @@ def walk(
     With `ranks`, only items whose order agrees with a pattern are kept:
     ranks[k] is where iterate k must sit among iterates 0..k.
     """
+    return _walk(m, depth, cell_budget, ranks, [])
+
+
+def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) -> Iterator[tuple]:
+    """walk, counting in the empty list `created` the items made at each depth."""
     _check_budget(cell_budget)
-    q, pieces = _scaled(m, depth)
-    los, his = [p[0] for p in pieces], [p[1] for p in pieces]
-    scale = q**depth
     if ranks is None:
+        # the counts do not depend on the scale, so check them before Q is built
+        q, pieces = _scaled(m, 1)
         for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
             if bound > cell_budget:
                 raise ResourceLimit(
                     f"refinement would exceed the cell budget of {cell_budget}: "
                     f"at least {bound} items at depth {k} of {depth}"
                 )
-    created = [0] * (depth + 1)
+    q, pieces = _scaled(m, depth)
+    los, his = [p[0] for p in pieces], [p[1] for p in pieces]
+    scale = q**depth
+    created.extend([0] * (depth + 1))
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
         item = stack.pop()
@@ -271,45 +291,82 @@ def _word(order) -> Perm:
     return tuple(word)
 
 
-def _allowed_words(m: PwlMap, depth: int, keep: tuple[int, ...], cell_budget: int):
-    """Allowed rank words of lengths d + 1 for each d in keep, from one walk."""
-    orders = {d: set() for d in keep}
-    for item in walk(m, depth, cell_budget):
-        sink = orders.get(item[0])
-        if sink is not None:
-            sink.add(item[-1])
-    words = []
-    for d in keep:
-        sink, found = orders.pop(d), set()
-        while sink:  # free each order as its word is made, to keep the peak low
-            found.add(_word(sink.pop()))
-        words.append(found)
-    return words
+class _Entry(NamedTuple):
+    """What a later exact call needs of a full walk to `depth`."""
+
+    m: PwlMap
+    created: list[int]  # items made at each depth 0..depth
+    words: set[Perm]  # the rank words of the items at `depth`
+    childless: set[Perm]  # the rank words of the items at depth - 1 with no children
+
+
+_entry: _Entry | None = None  # the most recent full walk, see _deepest
+
+
+def _deepest(m: PwlMap, depth: int, cell_budget: int) -> _Entry:
+    """The deepest level of m's full walk to `depth`, walked once per map.
+
+    The module keeps one entry, the most recent full walk, and serves it
+    again while the map compares equal, the depth is the same and no depth
+    made more items than cell_budget; a smaller budget walks again and
+    raises as a first walk would.  A walk of another map or a deeper one
+    frees the entry before it starts and keeps its own; a shallower walk
+    of the same map leaves the entry alone.  An item has children exactly
+    when the next item of the depth-first walk is one level deeper.
+    """
+    global _entry
+    _check_budget(cell_budget)
+    same = _entry is not None and _entry.m == m
+    if same and len(_entry.created) == depth + 1 and max(_entry.created) <= cell_budget:
+        return _entry
+    shallower = same and len(_entry.created) > depth + 1
+    if not shallower:
+        _entry = None  # free the old entry before the walk
+    created, deep, childless, pending, above = [], set(), set(), None, depth - 1
+    for item in _walk(m, depth, cell_budget, None, created):
+        k = item[0]
+        if k == depth:
+            deep.add(item[-1])
+        elif pending is not None:
+            childless.add(pending)
+        pending = item[-1] if k == above else None
+    if pending is not None:
+        childless.add(pending)
+    words = set()
+    while deep:  # free each order as its word is made, to keep the peak low
+        words.add(_word(deep.pop()))
+    found = _Entry(m, created, words, {_word(order) for order in childless})
+    if not shallower:
+        _entry = found
+    return found
 
 
 def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
     """All length-n patterns realized by some orbit of the map."""
     if n < 1:
         raise BadParameter("n must be at least 1")
-    (found,) = _allowed_words(m, n - 1, (n - 1,), cell_budget)
-    return PatternSet(n, tuple(sorted(found)))
+    return PatternSet(n, tuple(sorted(_deepest(m, n - 1, cell_budget).words)))
 
 
 def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
     """Complement of exact_allowed within S_n.
 
     Its n! candidates count against cell_budget before any walk starts:
-    10! = 3,628,800 fits the default budget, 11! does not.
+    10! = 3,628,800 fits the default budget, 11! does not.  The product
+    stops once it passes the budget, so a huge n is refused at once.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
     _check_budget(cell_budget)
-    candidates = math.factorial(n)
-    if candidates > cell_budget:
-        raise ResourceLimit(
-            f"forbidden-set enumeration at n = {n} has {candidates} candidates, "
-            f"over the cell budget of {cell_budget}"
-        )
+    candidates = 1
+    for k in range(2, n + 1):
+        candidates *= k
+        if candidates > cell_budget:
+            count = f"{candidates}" if k == n else f"more than {k}! = {candidates}"
+            raise ResourceLimit(
+                f"forbidden-set enumeration at n = {n} has {count} candidates, "
+                f"over the cell budget of {cell_budget}"
+            )
     allowed = exact_allowed(m, n, cell_budget)
     return PatternSet(n, tuple(p for p in all_perms(n) if p not in allowed))
 
@@ -317,17 +374,26 @@ def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -
 def exact_basic_forbidden(
     m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> PatternSet:
-    """Forbidden length-n patterns whose two length-(n-1) windows are both allowed."""
+    """Forbidden length-n patterns whose two length-(n-1) windows are both allowed.
+
+    The allowed (n-1)-patterns are the left windows of the allowed
+    n-patterns together with the words of the walk's childless items at
+    depth n - 2: for f(x) = 1 - x, allowed(3) is empty but allowed(2) is not.
+    """
     if n < 2:
         raise BadParameter("basic forbidden patterns need n >= 2")
-    shorter, full = _allowed_words(m, n - 1, (n - 2, n - 1), cell_budget)
+    level = _deepest(m, n - 1, cell_budget)
+    full = level.words
+    # the left window, reduced with no sort: close the gap the last entry leaves
+    shorter = {tuple(e - (e > w[-1]) for e in w[:-1]) for w in full}
+    shorter |= level.childless
     found: list[Perm] = []
     for alpha in shorter:
         for v in range(1, n + 1):
             pi = tuple(e + (e >= v) for e in alpha) + (v,)
             if pi in full:
                 continue
-            # the right window, reduced with no sort: close the gap pi[0] leaves
+            # the right window, reduced the same way: close the gap pi[0] leaves
             if tuple(e - (e > pi[0]) for e in pi[1:]) in shorter:
                 found.append(pi)
     return PatternSet(n, tuple(sorted(found)))
@@ -340,7 +406,7 @@ def shortest_forbidden_length(
     if n_max < 2:
         raise BadParameter("n_max must be at least 2")
     for n in range(2, n_max + 1):
-        if len(_allowed_words(m, n - 1, (n - 1,), cell_budget)[0]) < math.factorial(n):
+        if len(_deepest(m, n - 1, cell_budget).words) < math.factorial(n):
             return n
     return None
 

@@ -116,22 +116,22 @@ def _tent_minimal_small_sets() -> tuple[bool, str]:
 @_check("03-tent-seed-families")
 def _tent_seed_families() -> tuple[bool, str]:
     missing = []
-    for n in range(4, 9):
+    for n in range(4, 13):
         basic = exact_basic_forbidden(tent(), n)
         fams = [family_first(n), family_swapped(n)]
         fams += [family_pivot(n, k) for k in range(2, n - 1)]
         missing += [(n, f) for f in fams if f not in basic]
     ok = not missing
-    return ok, "all (n-1)-member families present for n=4..8" if ok else f"missing: {missing}"
+    return ok, "all (n-1)-member families present for n=4..12" if ok else f"missing: {missing}"
 
 
 @_check("04-tent-rotated-family")
 def _tent_rotated_family() -> tuple[bool, str]:
     missing = [
-        n for n in range(5, 9) if family_rotated(n) not in exact_basic_forbidden(tent(), n)
+        n for n in range(5, 13) if family_rotated(n) not in exact_basic_forbidden(tent(), n)
     ]
     ok = not missing
-    return ok, "rotated member present for n=5..8" if ok else f"missing at n={missing}"
+    return ok, "rotated member present for n=5..12" if ok else f"missing at n={missing}"
 
 
 @_check("05-sawtooth-shortest")

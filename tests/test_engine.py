@@ -30,6 +30,7 @@ from patlab import (
     shortest_forbidden_length,
     tent,
 )
+from patlab import engine
 from patlab.engine import _place, walk
 
 F = Fraction
@@ -125,7 +126,7 @@ class TestForbidden:
         def no_walk(*args, **kwargs):
             raise AssertionError("walked although the candidates exceed the budget")
 
-        monkeypatch.setattr("patlab.engine.walk", no_walk)
+        monkeypatch.setattr("patlab.engine._walk", no_walk)
         with pytest.raises(ResourceLimit, match=f"{budget} candidates.*budget of {budget - 1}"):
             exact_forbidden(tent(), n, cell_budget=budget - 1)
 
@@ -183,6 +184,128 @@ class TestShortest:
     def test_bad_n_max(self):
         with pytest.raises(BadParameter):
             shortest_forbidden_length(tent(), 1)
+
+
+def one_minus_x():
+    return PwlMap((PwlPiece(0, 1, True, True, -1, 1),))
+
+
+def identity_then_doubling():
+    """x on [0, 1/2), 2x - 1 on [1/2, 1]: every point of the first piece is fixed."""
+    return PwlMap((PwlPiece(0, F(1, 2), True, False, 1, 0), PwlPiece(F(1, 2), 1, True, True, 2, -1)))
+
+
+def point_and_jump():
+    """2x on [0, 1/2), 1/3 at the point 1/2, 1 - x on (1/2, 1]."""
+    return PwlMap(
+        (
+            PwlPiece(0, F(1, 2), True, False, 2, 0),
+            PwlPiece(F(1, 2), F(1, 2), True, True, 0, F(1, 3)),
+            PwlPiece(F(1, 2), 1, False, True, -1, 1),
+        )
+    )
+
+
+class TestKeptWalk:
+    """The engine keeps the most recent full walk for later calls on the same map."""
+
+    @pytest.fixture(autouse=True)
+    def no_entry(self, monkeypatch):
+        monkeypatch.setattr(engine, "_entry", None)
+
+    @staticmethod
+    def answers(m, clear):
+        out = []
+        for n in range(1, 9):
+            calls = [exact_allowed, exact_forbidden]
+            if n >= 2:
+                calls += [exact_basic_forbidden, shortest_forbidden_length]
+            for fn in calls:
+                if clear:
+                    engine._entry = None
+                out.append((fn.__name__, n, fn(m, n)))
+        return out
+
+    @pytest.mark.parametrize(
+        "make",
+        [tent, lambda: sawtooth(2), lambda: sawtooth(3), lambda: alt_sawtooth(3),
+         one_minus_x, identity_then_doubling, point_and_jump],
+        ids=["tent", "sawtooth:2", "sawtooth:3", "alt_sawtooth:3", "1-x", "identity", "point-jump"],
+    )
+    def test_reused_entry_gives_fresh_answers(self, make):
+        assert self.answers(make(), clear=False) == self.answers(make(), clear=True)
+
+    def test_childless_items_count_as_allowed_windows(self):
+        # 1 - x: x and f(x) realize 12 and 21, but f(f(x)) = x at every point
+        assert len(exact_allowed(one_minus_x(), 3)) == 0
+        assert set(exact_basic_forbidden(one_minus_x(), 3)) == set(all_perms(3))
+        assert engine._entry.childless == {(1, 2), (2, 1)}
+
+    def test_equal_map_is_served_without_a_walk(self, monkeypatch):
+        allowed = exact_allowed(tent(), 8)
+        depths = []
+        real = engine._walk
+
+        def spy(m, depth, *args):
+            depths.append(depth)
+            return real(m, depth, *args)
+
+        monkeypatch.setattr(engine, "_walk", spy)
+        assert exact_allowed(tent(), 8) == allowed
+        assert len(exact_forbidden(tent(), 8)) == math.factorial(8) - len(allowed)
+        assert len(exact_basic_forbidden(tent(), 8)) == 110
+        assert depths == []
+        assert shortest_forbidden_length(tent(), 9) == 3
+        assert depths == [1, 2]
+
+    def test_smaller_budget_raises_as_a_first_walk(self):
+        m = alt_sawtooth(3)
+        exact_allowed(m, 6)
+        widest = max(engine._entry.created)
+        assert len(exact_allowed(m, 6, cell_budget=widest)) == 300
+        with pytest.raises(ResourceLimit) as hit:
+            exact_basic_forbidden(m, 6, cell_budget=widest - 1)
+        engine._entry = None
+        with pytest.raises(ResourceLimit) as fresh:
+            exact_basic_forbidden(m, 6, cell_budget=widest - 1)
+        assert str(hit.value) == str(fresh.value)
+        assert f"{widest} items at depth 5 of 5" in str(fresh.value)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_on_a_hit(self, budget):
+        # the walk to depth 0 makes no item past the first, so its widest count is 0
+        for n, runs in ((1, (exact_allowed, exact_forbidden)),
+                        (4, (exact_allowed, exact_forbidden, exact_basic_forbidden,
+                             shortest_forbidden_length))):
+            exact_allowed(tent(), n)
+            for run in runs:
+                with pytest.raises(BadParameter, match="cell budget must be positive"):
+                    run(tent(), n, cell_budget=budget)
+
+    def test_shallower_walk_keeps_the_entry(self):
+        exact_allowed(tent(), 8)
+        kept = engine._entry
+        exact_allowed(tent(), 5)
+        exact_basic_forbidden(tent(), 4)
+        shortest_forbidden_length(tent(), 7)
+        assert engine._entry is kept and len(kept.created) == 8
+
+    def test_deeper_walk_or_another_map_replaces_the_entry(self):
+        exact_allowed(tent(), 5)
+        exact_allowed(tent(), 6)
+        assert engine._entry.m == tent() and len(engine._entry.created) == 6
+        exact_allowed(sawtooth(2), 3)
+        assert engine._entry.m == sawtooth(2) and len(engine._entry.created) == 3
+
+    def test_walk_that_raises_leaves_no_entry(self):
+        exact_allowed(tent(), 5)
+        with pytest.raises(ResourceLimit):
+            exact_allowed(tent(), 9, cell_budget=20)
+        assert engine._entry is None
+        exact_allowed(tent(), 5)
+        with pytest.raises(ResourceLimit):
+            exact_allowed(sawtooth(4), 9, cell_budget=50)
+        assert engine._entry is None
 
 
 class TestIsRealized:

@@ -487,6 +487,24 @@ class TestCliExitCodes:
         assert code == 3 and out == ""
         assert "39916800 candidates" in err and "cell budget of 4000000" in err
 
+    @pytest.mark.parametrize("n", [1559, 10**7])
+    def test_forbidden_candidates_of_a_huge_n(self, capsys, n):
+        # 1559! has more digits than int() may print; the product stops at 11!
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["forbidden", "--map", "tent", "--n", str(n)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert f"at n = {n} has more than 11! = 39916800 candidates" in line
+
+    def test_huge_n_refused_before_the_scale_is_built(self, capsys):
+        # q**depth at this depth could not be built; the cylinder count refuses depth 22
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["allowed", "--map", "tent", "--n", "99999999999999999999"])
+        assert time.perf_counter() - started < 2.0
+        assert code == 3 and out == ""
+        assert "at least 4194304 items at depth 22 of 99999999999999999998" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
