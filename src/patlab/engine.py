@@ -292,7 +292,7 @@ def _word(order) -> Perm:
 
 
 class _Entry(NamedTuple):
-    """What a later exact call needs of a full walk to `depth`."""
+    """What a later exact call needs of a full walk; its depth is len(created) - 1."""
 
     m: PwlMap
     created: list[int]  # items made at each depth 0..depth
