@@ -489,7 +489,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("n", [1559, 10**7])
     def test_forbidden_candidates_of_a_huge_n(self, capsys, n):
-        # 1559! has more digits than int() may print; the product stops at 11!
+        # 1559! has more than the 4,300 digits Python will print; the product stops at 11!
         started = time.perf_counter()
         code, out, err = run_cli(capsys, ["forbidden", "--map", "tent", "--n", str(n)])
         assert time.perf_counter() - started < 1.0
