@@ -39,24 +39,25 @@ covering the next, have cylinders of positive length, and each such
 cylinder holds at least one item of its depth.  That count is N**k for
 sawtooth:N at depth k, so a walk too wide for the budget is refused at
 once instead of after the budget is spent.  The count does not depend on
-Q, so it runs before Q is built.  exact_forbidden also counts its n!
-candidates against the budget.
+Q, so it runs before Q is built, and it stops once the counts repeat.
+A full walk then refuses a depth whose Q would have more than 4,300
+digits, the limit pwl puts on map data, so a huge depth on a map with no
+expanding piece and q > 1 is refused at once too.  exact_forbidden also
+counts its n! candidates against the budget.
 
-One walk serves every exact query on a map at one length.  The module
-keeps one entry in process, the most recent full walk: the map, the items
-made at each depth, the rank words of its deepest level and the words of
-the items one level up that have no children.  It holds these until an
-exact call walks another map or walks deeper; a shallower walk of the
-same map, such as shortest_forbidden_length's first steps, leaves it
-alone.  exact_allowed, exact_forbidden, exact_basic_forbidden and each
-step of shortest_forbidden_length read depth n - 1 from it when the map
-compares equal, the depth is the same and no depth made more items than
-the caller's budget.  is_realized's pruned walk neither reads nor keeps it.
+One walk serves every exact query on a map.  The module keeps one entry
+in process, the most recent full walk: the map, its depth, the items made
+at each depth and the rank words of the items at every depth it reached.
+exact_allowed, exact_forbidden, exact_basic_forbidden and each step of
+shortest_forbidden_length read their depth from it when the map compares
+equal, the depth is at most the walk's and no depth up to it made more
+items than the caller's budget.  Any other call frees the entry and
+walks.  is_realized's pruned walk neither reads nor keeps it.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
 is an allowed (n-1)-pattern extended by one final rank, which bounds the
 candidate pool by n * |allowed(n-1)| instead of n!.  The allowed
-(n-1)-patterns come from the same walk to depth n - 1.
+(n-1)-patterns are the words of depth n - 2 of the same walk.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import BadParameter, ResourceLimit
 from .perms import PatternSet, Perm, all_perms, check_perm
-from .pwl import PwlMap
+from .pwl import _MAX_DIGITS, PwlMap
 
 DEFAULT_CELL_BUDGET = 4_000_000
 
@@ -89,7 +90,8 @@ def walk(
 
 
 def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) -> Iterator[tuple]:
-    """walk, counting in the empty list `created` the items made at each depth."""
+    """walk, counting in the empty list `created` the items made at each depth
+    it reaches."""
     _check_budget(cell_budget)
     if ranks is None:
         # the counts do not depend on the scale, so check them before Q is built
@@ -100,10 +102,15 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
                     f"refinement would exceed the cell budget of {cell_budget}: "
                     f"at least {bound} items at depth {k} of {depth}"
                 )
+        if depth * math.log10(q) >= _MAX_DIGITS:  # q**depth has floor(depth * log10(q)) + 1 digits
+            raise ResourceLimit(
+                f"refinement to depth {depth} needs the scale {q}**{depth}, "
+                f"which has more than {_MAX_DIGITS} digits"
+            )
     q, pieces = _scaled(m, depth)
     los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
-    created.extend([0] * (depth + 1))
+    created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
         item = stack.pop()
@@ -125,6 +132,8 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             for pln, pld, plc, phn, phd, phc, r in segments:
                 stack.append((k1, pln, pld, phn, phd, plc, phc, A1, B1,
                               order[:r] + (k1,) + order[r:]))
+            if k1 == len(created):
+                created.append(0)
             created[k1] += len(segments)
             if created[k1] > cell_budget:
                 raise ResourceLimit(
@@ -158,7 +167,8 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
     slope above 1 in absolute value, whose pieces each lie inside the
     image of the one before.  Each has a cylinder of positive length on
     which no two iterates coincide, so at least one item of depth k lies
-    in it.  q and `pieces` are as _scaled returns them.
+    in it.  It stops once the counts repeat, since every later count
+    would equal them.  q and `pieces` are as _scaled returns them.
     """
     expanding = [(lo, hi, s, c) for lo, hi, _, _, s, c in pieces if lo < hi and abs(s) > q]
     # image ends and piece ends, both times Q * q
@@ -176,7 +186,9 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
             if a < b:
                 diff[a] += count
                 diff[b] -= count
-        counts = list(itertools.accumulate(diff[:-1]))
+        counts, last = list(itertools.accumulate(diff[:-1])), counts
+        if counts == last:
+            return  # every later count equals this one
 
 
 def _split(pieces, los, his, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
@@ -292,60 +304,52 @@ def _word(order) -> Perm:
 
 
 class _Entry(NamedTuple):
-    """What a later exact call needs of a full walk; its depth is len(created) - 1."""
+    """What a later exact call needs of a full walk."""
 
     m: PwlMap
-    created: list[int]  # items made at each depth 0..depth
-    words: set[Perm]  # the rank words of the items at `depth`
-    childless: set[Perm]  # the rank words of the items at depth - 1 with no children
+    depth: int
+    created: list[int]  # items made at each depth the walk reached
+    levels: list[set[Perm]]  # levels[k]: the rank words of the items at depth k
 
 
-_entry: _Entry | None = None  # the most recent full walk, see _deepest
+_entry: _Entry | None = None  # the most recent full walk, see _level
 
 
-def _deepest(m: PwlMap, depth: int, cell_budget: int) -> _Entry:
-    """The deepest level of m's full walk to `depth`, walked once per map.
+def _level(m: PwlMap, depth: int, cell_budget: int) -> set[Perm]:
+    """The rank words of the items at `depth` of m's full walk.
 
-    The module keeps one entry, the most recent full walk, and serves it
-    again while the map compares equal, the depth is the same and no depth
-    made more items than cell_budget; a smaller budget walks again and
-    raises as a first walk would.  A walk of another map or a deeper one
-    frees the entry before it starts and keeps its own; a shallower walk
-    of the same map leaves the entry alone.  An item has children exactly
-    when the next item of the depth-first walk is one level deeper.
+    The module keeps one entry, the most recent full walk with the words of
+    every level it reached, and serves a call from it when the map compares
+    equal, `depth` is at most the walk's and no depth up to `depth` made
+    more items than cell_budget.  Any other call frees the entry and walks,
+    so a smaller budget raises as a first walk would.  A depth the walk
+    never reached has no items.
     """
     global _entry
     _check_budget(cell_budget)
-    same = _entry is not None and _entry.m == m
-    if same and len(_entry.created) == depth + 1 and max(_entry.created) <= cell_budget:
-        return _entry
-    shallower = same and len(_entry.created) > depth + 1
-    if not shallower:
+    e = _entry
+    if e is None or e.m != m or depth > e.depth or max(e.created[:depth + 1]) > cell_budget:
         _entry = None  # free the old entry before the walk
-    created, deep, childless, pending, above = [], set(), set(), None, depth - 1
-    for item in _walk(m, depth, cell_budget, None, created):
-        k = item[0]
-        if k == depth:
-            deep.add(item[-1])
-        elif pending is not None:
-            childless.add(pending)
-        pending = item[-1] if k == above else None
-    if pending is not None:
-        childless.add(pending)
-    words = set()
-    while deep:  # free each order as its word is made, to keep the peak low
-        words.add(_word(deep.pop()))
-    found = _Entry(m, created, words, {_word(order) for order in childless})
-    if not shallower:
-        _entry = found
-    return found
+        created, orders = [], []
+        for item in _walk(m, depth, cell_budget, None, created):
+            if item[0] == len(orders):
+                orders.append(set())
+            orders[item[0]].add(item[-1])
+        levels = []
+        for level in orders:
+            words = set()
+            while level:  # free each order as its word is made, to keep the peak low
+                words.add(_word(level.pop()))
+            levels.append(words)
+        e = _entry = _Entry(m, depth, created, levels)
+    return e.levels[depth] if depth < len(e.levels) else set()
 
 
 def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
     """All length-n patterns realized by some orbit of the map."""
     if n < 1:
         raise BadParameter("n must be at least 1")
-    return PatternSet(n, tuple(sorted(_deepest(m, n - 1, cell_budget).words)))
+    return PatternSet(n, tuple(sorted(_level(m, n - 1, cell_budget))))
 
 
 def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
@@ -376,24 +380,19 @@ def exact_basic_forbidden(
 ) -> PatternSet:
     """Forbidden length-n patterns whose two length-(n-1) windows are both allowed.
 
-    The allowed (n-1)-patterns are the left windows of the allowed
-    n-patterns together with the words of the walk's childless items at
-    depth n - 2: for f(x) = 1 - x, allowed(3) is empty but allowed(2) is not.
+    The allowed (n-1)-patterns are the words of the walk's level n - 2.
     """
     if n < 2:
         raise BadParameter("basic forbidden patterns need n >= 2")
-    level = _deepest(m, n - 1, cell_budget)
-    full = level.words
-    # the left window, reduced with no sort: close the gap the last entry leaves
-    shorter = {tuple(e - (e > w[-1]) for e in w[:-1]) for w in full}
-    shorter |= level.childless
+    full = _level(m, n - 1, cell_budget)
+    shorter = _level(m, n - 2, cell_budget)
     found: list[Perm] = []
     for alpha in shorter:
         for v in range(1, n + 1):
             pi = tuple(e + (e >= v) for e in alpha) + (v,)
             if pi in full:
                 continue
-            # the right window, reduced the same way: close the gap pi[0] leaves
+            # the right window, reduced with no sort: close the gap pi[0] leaves
             if tuple(e - (e > pi[0]) for e in pi[1:]) in shorter:
                 found.append(pi)
     return PatternSet(n, tuple(sorted(found)))
@@ -406,7 +405,7 @@ def shortest_forbidden_length(
     if n_max < 2:
         raise BadParameter("n_max must be at least 2")
     for n in range(2, n_max + 1):
-        if len(_deepest(m, n - 1, cell_budget).words) < math.factorial(n):
+        if len(_level(m, n - 1, cell_budget)) < math.factorial(n):
             return n
     return None
 

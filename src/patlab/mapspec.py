@@ -224,7 +224,10 @@ def load_map_spec(source: str | dict) -> LoadedMap:
         body, where = text, ""
     elif os.path.exists(text):
         with open(text, encoding="utf-8") as fh:
-            body, where = fh.read(), f"{text}: "
+            try:
+                body, where = fh.read(), f"{text}: "
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{text}: not UTF-8 text: {exc}") from None
     else:
         raise UnknownMap(f"{text!r} is not a catalog shorthand, inline JSON, or a readable file")
     try:

@@ -325,7 +325,8 @@ class PatternSet:
     def to_json(self) -> dict:
         # no check_perm here: from_perms checks every word, and the engines
         # build permutations
-        template = _template(self.n)
+        # an empty set builds no template: it would hold n strings, too many for a huge n
+        template = _template(self.n) if self.patterns else ""
         return {"n": self.n, "patterns": [template % p for p in self.patterns]}
 
     @classmethod

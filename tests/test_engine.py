@@ -214,9 +214,9 @@ class TestKeptWalk:
         monkeypatch.setattr(engine, "_entry", None)
 
     @staticmethod
-    def answers(m, clear):
+    def answers(m, clear, lengths):
         out = []
-        for n in range(1, 9):
+        for n in lengths:
             calls = [exact_allowed, exact_forbidden]
             if n >= 2:
                 calls += [exact_basic_forbidden, shortest_forbidden_length]
@@ -226,20 +226,28 @@ class TestKeptWalk:
                 out.append((fn.__name__, n, fn(m, n)))
         return out
 
-    @pytest.mark.parametrize(
+    maps = pytest.mark.parametrize(
         "make",
         [tent, lambda: sawtooth(2), lambda: sawtooth(3), lambda: alt_sawtooth(3),
          one_minus_x, identity_then_doubling, point_and_jump],
         ids=["tent", "sawtooth:2", "sawtooth:3", "alt_sawtooth:3", "1-x", "identity", "point-jump"],
     )
+
+    @maps
     def test_reused_entry_gives_fresh_answers(self, make):
-        assert self.answers(make(), clear=False) == self.answers(make(), clear=True)
+        up = range(1, 9)
+        assert self.answers(make(), False, up) == self.answers(make(), True, up)
+
+    @maps
+    def test_deeper_entry_serves_shallower_calls(self, make):
+        # n descending: the first walk is the deepest, and it serves every later call
+        down = range(8, 0, -1)
+        assert self.answers(make(), False, down) == self.answers(make(), True, down)
 
     def test_childless_items_count_as_allowed_windows(self):
         # 1 - x: x and f(x) realize 12 and 21, but f(f(x)) = x at every point
         assert len(exact_allowed(one_minus_x(), 3)) == 0
         assert set(exact_basic_forbidden(one_minus_x(), 3)) == set(all_perms(3))
-        assert engine._entry.childless == {(1, 2), (2, 1)}
 
     def test_equal_map_is_served_without_a_walk(self, monkeypatch):
         allowed = exact_allowed(tent(), 8)
@@ -254,9 +262,8 @@ class TestKeptWalk:
         assert exact_allowed(tent(), 8) == allowed
         assert len(exact_forbidden(tent(), 8)) == math.factorial(8) - len(allowed)
         assert len(exact_basic_forbidden(tent(), 8)) == 110
-        assert depths == []
         assert shortest_forbidden_length(tent(), 9) == 3
-        assert depths == [1, 2]
+        assert depths == []
 
     def test_smaller_budget_raises_as_a_first_walk(self):
         m = alt_sawtooth(3)
@@ -282,13 +289,14 @@ class TestKeptWalk:
                 with pytest.raises(BadParameter, match="cell budget must be positive"):
                     run(tent(), n, cell_budget=budget)
 
-    def test_shallower_walk_keeps_the_entry(self):
+    def test_shallower_call_is_served_without_a_walk(self, monkeypatch):
         exact_allowed(tent(), 8)
         kept = engine._entry
+        monkeypatch.setattr(engine, "_walk", None)  # any walk would raise
         exact_allowed(tent(), 5)
         exact_basic_forbidden(tent(), 4)
         shortest_forbidden_length(tent(), 7)
-        assert engine._entry is kept and len(kept.created) == 8
+        assert engine._entry is kept and kept.depth == 7 and len(kept.levels) == 8
 
     def test_deeper_walk_or_another_map_replaces_the_entry(self):
         exact_allowed(tent(), 5)

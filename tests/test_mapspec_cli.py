@@ -367,6 +367,14 @@ class TestCliExitCodes:
         code, _, err = run_cli(capsys, ["basic", "--map", str(tmp_path), "--n", "3"])
         assert code == 2 and err.startswith("patlab:")
 
+    def test_map_file_not_utf8(self, capsys, tmp_path):
+        target = tmp_path / "bad.json"
+        target.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, ["allowed", "--map", str(target), "--n", "3"])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("patlab:") and "not UTF-8" in line
+
     @pytest.mark.parametrize("spec", ["sawtooth:abc", "tent:3", "logistic:5", "sawtooth:1"])
     def test_bad_shorthand(self, capsys, spec):
         code, out, err = run_cli(capsys, ["basic", "--map", spec, "--n", "3"])
@@ -504,6 +512,46 @@ class TestCliExitCodes:
         assert time.perf_counter() - started < 2.0
         assert code == 3 and out == ""
         assert "at least 4194304 items at depth 22 of 99999999999999999998" in err
+
+    @staticmethod
+    def one_piece(slope, intercept):
+        piece = {"lo": "0", "hi": "1", "slope": slope, "intercept": intercept, "hi_closed": True}
+        return json.dumps({"type": "pwl", "pieces": [piece]})
+
+    HUGE = "99999999999999999999"
+
+    def test_huge_n_on_a_contracting_map_refused_by_its_scale(self, capsys):
+        # no expanding piece, so the cylinder counts stop at 0; 2**depth is too long
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["allowed", "--map", self.one_piece("1/2", "0"), "--n", self.HUGE]
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert f"scale 2**{int(self.HUGE) - 1}, which has more than 4300 digits" in line
+
+    def test_long_n_on_a_contracting_map_answers(self, capsys):
+        argv = ["allowed", "--map", self.one_piece("1/2", "0"), "--n", "3000"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["result"]["patterns"] == [",".join(map(str, range(3000, 0, -1)))]
+
+    @pytest.mark.parametrize(
+        "argv, result",
+        [
+            (["allowed", "--n", HUGE], {"n": int(HUGE), "patterns": []}),
+            (["basic", "--n", HUGE], {"n": int(HUGE), "patterns": []}),
+            (["shortest", "--n-max", HUGE], 3),
+        ],
+        ids=["allowed", "basic", "shortest"],
+    )
+    def test_huge_n_on_an_involution_answers(self, capsys, argv, result):
+        # 1 - x has q = 1, so its scale stays 1; every item dies at depth 2
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, [*argv, "--map", self.one_piece("-1", "1")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 and json.loads(out)["result"] == result
 
     @pytest.mark.parametrize(
         "argv",
