@@ -18,13 +18,17 @@ One rule places the new iterate: it has rank r exactly where it lies
 strictly above the old iterate of rank r - 1 and strictly below that of
 rank r, two linear inequalities that cut a part straight to one segment
 or to none.  Within a part the old iterates never cross, so the new one
-crosses each at most once and its rank moves by one at every crossing;
-the full walk cuts each rank from the one just right of the part's left
-end to the one just left of its right end.  A walk pruned by a pattern
-(is_realized's) cuts only the rank the pattern asks for.  The crossing
-points are ties and are dropped, and so is a tied endpoint.  A tie at
-depth k is a tie at every later depth, so nothing dropped could realize
-a longer pattern.
+crosses each at most once and its rank moves by one at every crossing.
+The full walk starts at the rank just right of the part's left end and
+cuts it by both inequalities.  Where a segment's upper end is a crossing
+strictly inside the part, the next segment starts there, open, one rank
+up or down; the inequality that crossing solved holds on it already, so
+only its other one is cut.  Each crossing is solved once, and the walk
+stops at the segment that reaches the part's right end.  A walk pruned
+by a pattern (is_realized's) cuts only the rank the pattern asks for, by
+both inequalities.  The crossing points are ties and are dropped, and so
+is a tied endpoint.  A tie at depth k is a tie at every later depth, so
+nothing dropped could realize a longer pattern.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -55,9 +59,14 @@ items than the caller's budget.  Any other call frees the entry and
 walks.  is_realized's pruned walk neither reads nor keeps it.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
-is an allowed (n-1)-pattern extended by one final rank, which bounds the
-candidate pool by n * |allowed(n-1)| instead of n!.  The allowed
-(n-1)-patterns are the words of depth n - 2 of the same walk.
+is an allowed (n-1)-pattern alpha extended by one final value v, which
+bounds the candidate pool by n * |allowed(n-1)| instead of n!.  The
+allowed (n-1)-patterns are the words of depth n - 2 of the same walk.
+One index over them maps each reduced (n-2)-prefix to a bitmask of the
+last values that extend it to an allowed pattern.  All n candidates of
+alpha share the reduced prefix of their right window, so one lookup per
+alpha and one bit per candidate tell whether the right window is allowed;
+only those candidates are built and looked up among the allowed n-patterns.
 """
 
 from __future__ import annotations
@@ -228,15 +237,15 @@ def _split(pieces, los, his, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     return out
 
 
-def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
-    """Rank of the new iterate just right (side 1) or left (side -1) of xn/xd."""
+def _rank_near(A, B, order, fa, fb, xn, xd) -> int:
+    """Rank of the new iterate just right of xn/xd."""
     lo, hi = 0, len(order)
     while lo < hi:
         mid = (lo + hi) // 2
         j = order[mid]
         da = fa - A[j]
         d = da * xn + (fb - B[j]) * xd
-        if d > 0 or d == 0 and da * side > 0:
+        if d > 0 or d == 0 and da > 0:
             lo = mid + 1
         else:
             hi = mid
@@ -245,54 +254,58 @@ def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
 
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
     """Cut a part into segments (lo, hi, flags, rank of the new iterate),
-    one for each rank the new iterate takes on it.
+    one for each rank the new iterate takes on it, left to right.
 
     The new iterate has rank r exactly where it lies strictly above iterate
     order[r - 1] and strictly below order[r]: two linear inequalities in x
     that cut the part to one segment or none.  A cut strictly inside the
     part becomes an open end at the crossing; a cut at an end of the part
     opens that end, so a tie there is dropped.  With `target`, only that
-    rank is cut.  Without it, the ranks run from r0, just right of the
-    left end, to r1, just left of the right end: within a part the old
-    iterates never cross, so the new one passes every rank in between.
+    rank is cut.  Without it, the walk starts at the rank just right of the
+    left end.  Within a part the old iterates never cross, so where a
+    segment's upper end is cut strictly inside the part by neighbour
+    order[i], the new iterate crosses order[i] there and takes the rank on
+    order[i]'s other side.  The next segment starts open at that crossing;
+    its inequality with order[i] holds there already, so only its other
+    neighbour is cut.  The walk stops at the segment that reaches the
+    part's right end, or at an empty first cut (a point part that ties).
     """
-    if target is None:
-        r0 = _rank_near(A, B, order, fa, fb, ln, ld, 1)
-        r1 = _rank_near(A, B, order, fa, fb, hn, hd, -1)
-        step = 1 if r1 >= r0 else -1
-        ranks = range(r0, r1 + step, step)
-    else:
-        ranks = (target,)
+    r = _rank_near(A, B, order, fa, fb, ln, ld) if target is None else target
+    met = None  # the neighbour a carried crossing has already passed
     out = []
-    for r in ranks:
-        sln, sld, slc, shn, shd, shc = ln, ld, lc, hn, hd, hc
+    while True:
+        shn, shd, shc = hn, hd, hc
+        crossed = None
         for i, sign in ((r - 1, 1), (r, -1)):
-            if not 0 <= i < len(order):
+            if i == met or not 0 <= i < len(order):
                 continue  # the lowest or highest rank has one neighbour
             j = order[i]
             # the new iterate is on the right side of j where da * x + db > 0
             da, db = sign * (fa - A[j]), sign * (fb - B[j])
             if da > 0:  # x > -db / da
                 if -db * shd >= shn * da:
-                    break
-                t = -db * sld - sln * da
+                    return out
+                t = -db * ld - ln * da
                 if t > 0:
-                    sln, sld, slc = -db, da, False
+                    ln, ld, lc = -db, da, False
                 elif t == 0:
-                    slc = False
+                    lc = False
             elif da < 0:  # x < db / -da
-                if db * sld <= -sln * da:
-                    break
+                if db * ld <= -ln * da:
+                    return out
                 t = db * shd + shn * da
                 if t < 0:
-                    shn, shd, shc = db, -da, False
+                    shn, shd, shc, crossed = db, -da, False, i
                 elif t == 0:
                     shc = False
             elif db <= 0:  # wrong side of j, or equal to it, on the whole part
-                break
-        else:
-            out.append((sln, sld, slc, shn, shd, shc, r))
-    return out
+                return out
+        out.append((ln, ld, lc, shn, shd, shc, r))
+        if crossed is None or target is not None:
+            return out
+        # carry the crossing: it is the next segment's open lower end
+        ln, ld, lc, met = shn, shd, False, crossed
+        r += 1 if crossed == r else -1
 
 
 def _word(order) -> Perm:
@@ -381,20 +394,34 @@ def exact_basic_forbidden(
     """Forbidden length-n patterns whose two length-(n-1) windows are both allowed.
 
     The allowed (n-1)-patterns are the words of the walk's level n - 2.
+    Each candidate is one of them, alpha, extended by a last value v; its
+    right window is allowed iff a bit of the right-window index is set, and
+    only then is the candidate built and looked up among the allowed.
     """
     if n < 2:
         raise BadParameter("basic forbidden patterns need n >= 2")
     full = _level(m, n - 1, cell_budget)
     shorter = _level(m, n - 2, cell_budget)
+    # the right-window index: for each reduced prefix of an allowed (n-1)-pattern,
+    # the bits of the last values that extend it to one (reduced with no sort:
+    # close the gap the last value leaves)
+    last_values: dict[Perm, int] = {}
+    for beta in shorter:
+        u = beta[-1]
+        key = tuple(e - (e > u) for e in beta[:-1])
+        last_values[key] = last_values.get(key, 0) | 1 << u
     found: list[Perm] = []
     for alpha in shorter:
+        a0 = alpha[0]
+        # the reduced prefix of every right window alpha's candidates have
+        mask = last_values.get(tuple(e - (e > a0) for e in alpha[1:]), 0)
         for v in range(1, n + 1):
-            pi = tuple(e + (e >= v) for e in alpha) + (v,)
-            if pi in full:
-                continue
-            # the right window, reduced with no sort: close the gap pi[0] leaves
-            if tuple(e - (e > pi[0]) for e in pi[1:]) in shorter:
-                found.append(pi)
+            # the right window of pi = alpha + v ends in v, less one if above
+            # pi[0], which is a0 or a0 + 1, so exactly when v > a0
+            if mask >> (v - (v > a0)) & 1:
+                pi = tuple(e + (e >= v) for e in alpha) + (v,)
+                if pi not in full:
+                    found.append(pi)
     return PatternSet(n, tuple(sorted(found)))
 
 

@@ -6,12 +6,15 @@ small frozen values and cross-checked against brute force on a map that
 is NOT in the catalog, so the pins cannot all be wrong together.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patlab import (
     BadParameter,
@@ -141,8 +144,8 @@ class TestBasicForbidden:
     def test_independent_of_gluing(self):
         """Gluing must agree with the definition: forbidden with both
         length-(n-1) windows allowed, filtered straight out of S_n."""
-        for m in (tent(), jagged()):
-            for n in (3, 4, 5):
+        for m in (tent(), jagged(), one_minus_x(), identity_then_doubling(), point_and_jump()):
+            for n in range(2, 7):
                 al = exact_allowed(m, n)
                 shorter = exact_allowed(m, n - 1)
                 direct = {
@@ -405,6 +408,121 @@ class TestPlaceTarget:
         for target in (0, 1):
             cut, whole = placed((2,), (0,), (0,), fa, fb, point, target)
             assert cut == whole == ([(*point, target)] if target in expected else [])
+
+
+def place_rank_by_rank(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc):
+    """The full placement with no crossing carried: every rank from r0, the
+    new iterate's rank just right of the left end, to r1, its rank just left
+    of the right end, each cut by both neighbour inequalities."""
+
+    def rank_near(xn, xd, side):
+        # a linear scan: the old iterates below the new one just beside xn/xd
+        below = 0
+        for j in order:
+            da = fa - A[j]
+            d = da * xn + (fb - B[j]) * xd
+            below += d > 0 or d == 0 and da * side > 0
+        return below
+
+    r0, r1 = rank_near(ln, ld, 1), rank_near(hn, hd, -1)
+    step = 1 if r1 >= r0 else -1
+    out = []
+    for r in range(r0, r1 + step, step):
+        sln, sld, slc, shn, shd, shc = ln, ld, lc, hn, hd, hc
+        for i, sign in ((r - 1, 1), (r, -1)):
+            if not 0 <= i < len(order):
+                continue
+            j = order[i]
+            da, db = sign * (fa - A[j]), sign * (fb - B[j])
+            if da > 0:
+                if -db * shd >= shn * da:
+                    break
+                t = -db * sld - sln * da
+                if t > 0:
+                    sln, sld, slc = -db, da, False
+                elif t == 0:
+                    slc = False
+            elif da < 0:
+                if db * sld <= -sln * da:
+                    break
+                t = db * shd + shn * da
+                if t < 0:
+                    shn, shd, shc = db, -da, False
+                elif t == 0:
+                    shc = False
+            elif db <= 0:
+                break
+        else:
+            out.append((sln, sld, slc, shn, shd, shc, r))
+    return out
+
+
+@st.composite
+def placements(draw):
+    """Old iterates A[j] * x + B[j] that do not cross inside a part of [0, 1],
+    their order there, the part and a new iterate (fa, fb).
+
+    The part's ends are points where two old iterates tie (then open), grid
+    points of twelfths, or 0 and 1; a point part is closed and holds no tie.
+    The new iterate may pass through an old one at an end of the part.
+    """
+    coef = st.integers(-6, 6)
+    lines = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=4, unique=True))
+    A, B = tuple(a for a, _ in lines), tuple(b for _, b in lines)
+    ties = {F(b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(lines, 2) if a1 != a2}
+    cuts = sorted({F(0), F(1), *(x for x in ties if 0 < x < 1)})
+    i = draw(st.integers(0, len(cuts) - 2))
+    ends = sorted({cuts[i], cuts[i + 1], *(F(k, 12) for k in range(13) if cuts[i] < F(k, 12) < cuts[i + 1])})
+    if draw(st.sampled_from([False, False, False, True])):  # a point part
+        lo = hi = draw(st.sampled_from(ends))
+        assume(lo not in ties)
+        lc = hc = True
+    else:
+        lo = draw(st.sampled_from(ends[:-1]))
+        hi = draw(st.sampled_from([x for x in ends if x > lo]))
+        lc = lo not in ties and draw(st.booleans())
+        hc = hi not in ties and draw(st.booleans())
+    mid = (lo + hi) / 2
+    order = tuple(sorted(range(len(lines)), key=lambda j: A[j] * mid + B[j]))
+    if draw(st.booleans()):  # a steep one, through a value the old iterates take near mid
+        fa = draw(st.integers(-60, 60))
+        fb = math.floor(draw(st.integers(-12, 12)) - fa * mid)
+    else:  # through old iterate j at an end x = num / den
+        j = draw(st.integers(0, len(lines) - 1))
+        x, t = draw(st.sampled_from([lo, hi])), draw(st.integers(-3, 3))
+        fa, fb = A[j] + t * x.denominator, B[j] - t * x.numerator
+    # ends as unreduced pairs, as carried crossings are
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    part = (lo.numerator * k, lo.denominator * k, lc, hi.numerator * l, hi.denominator * l, hc)
+    return A, B, order, fa, fb, part
+
+
+class TestPlaceCarried:
+    """The full placement, carrying each crossing into the next segment,
+    against the same inequalities cut rank by rank."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(placements())
+    def test_matches_the_rank_by_rank_cut(self, placement):
+        A, B, order, fa, fb, part = placement
+        assert _place(A, B, order, fa, fb, *part, None) == place_rank_by_rank(A, B, order, fa, fb, *part)
+
+    # old iterates x < x + 1 on [0, 1]
+    @pytest.mark.parametrize(
+        "fa, fb, expected",
+        [
+            # 4x - 1 rises across x at 1/3 and x + 1 at 2/3
+            (4, -1, [(0, 1, True, 1, 3, False, 0), (1, 3, False, 2, 3, False, 1),
+                     (2, 3, False, 1, 1, True, 2)]),
+            # -4x + 3 falls across x + 1 at 2/5 and x at 3/5
+            (-4, 3, [(0, 1, True, 2, 5, False, 2), (2, 5, False, 3, 5, False, 1),
+                     (3, 5, False, 1, 1, True, 0)]),
+        ],
+    )
+    def test_passes_three_ranks(self, fa, fb, expected):
+        A, B, order, unit = (1, 1), (0, 1), (0, 1), (0, 1, True, 1, 1, True)
+        assert _place(A, B, order, fa, fb, *unit, None) == expected
+        assert place_rank_by_rank(A, B, order, fa, fb, *unit) == expected
 
 
 class TestGenericMapProperties:

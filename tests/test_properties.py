@@ -131,6 +131,22 @@ def test_allowed_patterns_avoid_the_basic_forbidden_ones(m, n):
     assert avoiders(basis, n) == exact_allowed(m, n)
 
 
+@PROPERTY
+@given(pwl_maps())
+def test_basic_forbidden_matches_its_definition(m):
+    """The glued basic set is S_n filtered by the definition: forbidden,
+    with both length-(n-1) windows allowed."""
+    for n in range(2, 7):
+        allowed, shorter = exact_allowed(m, n), exact_allowed(m, n - 1)
+        direct = [
+            p for p in all_perms(n)
+            if p not in allowed
+            and reduce_values(p[:-1]) in shorter
+            and reduce_values(p[1:]) in shorter
+        ]
+        assert list(exact_basic_forbidden(m, n)) == direct, n
+
+
 # f(x) < x on both sides of x = 1/2, where f(x) = x: a point piece there,
 # then the right ramp owning it
 HALF = F(1, 2)
