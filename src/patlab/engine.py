@@ -63,10 +63,11 @@ is an allowed (n-1)-pattern alpha extended by one final value v, which
 bounds the candidate pool by n * |allowed(n-1)| instead of n!.  The
 allowed (n-1)-patterns are the words of depth n - 2 of the same walk.
 One index over them maps each reduced (n-2)-prefix to a bitmask of the
-last values that extend it to an allowed pattern.  All n candidates of
-alpha share the reduced prefix of their right window, so one lookup per
-alpha and one bit per candidate tell whether the right window is allowed;
-only those candidates are built and looked up among the allowed n-patterns.
+last values that extend it to an allowed (n-1)-pattern.  All n candidates
+of alpha share the reduced prefix of their right window, so one lookup
+per alpha and one bit per candidate tell whether the right window is
+allowed; only those candidates are built and looked up among the allowed
+n-patterns.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
     order[i]'s other side.  The next segment starts open at that crossing;
     its inequality with order[i] holds there already, so only its other
     neighbour is cut.  The walk stops at the segment that reaches the
-    part's right end, or at an empty first cut (a point part that ties).
+    part's right end, or at an empty first cut (a point part that ties,
+    or a new iterate equal to an old one on the whole part).
     """
     r = _rank_near(A, B, order, fa, fb, ln, ld) if target is None else target
     met = None  # the neighbour a carried crossing has already passed
@@ -413,7 +415,7 @@ def exact_basic_forbidden(
     found: list[Perm] = []
     for alpha in shorter:
         a0 = alpha[0]
-        # the reduced prefix of every right window alpha's candidates have
+        # the reduced prefix that the right windows of all alpha's candidates share
         mask = last_values.get(tuple(e - (e > a0) for e in alpha[1:]), 0)
         for v in range(1, n + 1):
             # the right window of pi = alpha + v ends in v, less one if above

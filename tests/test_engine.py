@@ -469,10 +469,12 @@ def placements(draw):
     coef = st.integers(-6, 6)
     lines = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=4, unique=True))
     A, B = tuple(a for a, _ in lines), tuple(b for _, b in lines)
-    ties = {F(b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(lines, 2) if a1 != a2}
+    pairs = itertools.combinations(lines, 2)
+    ties = {F(b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in pairs if a1 != a2}
     cuts = sorted({F(0), F(1), *(x for x in ties if 0 < x < 1)})
     i = draw(st.integers(0, len(cuts) - 2))
-    ends = sorted({cuts[i], cuts[i + 1], *(F(k, 12) for k in range(13) if cuts[i] < F(k, 12) < cuts[i + 1])})
+    grid = (F(k, 12) for k in range(13))
+    ends = sorted({cuts[i], cuts[i + 1], *(x for x in grid if cuts[i] < x < cuts[i + 1])})
     if draw(st.sampled_from([False, False, False, True])):  # a point part
         lo = hi = draw(st.sampled_from(ends))
         assume(lo not in ties)
@@ -484,7 +486,7 @@ def placements(draw):
         hc = hi not in ties and draw(st.booleans())
     mid = (lo + hi) / 2
     order = tuple(sorted(range(len(lines)), key=lambda j: A[j] * mid + B[j]))
-    if draw(st.booleans()):  # a steep one, through a value the old iterates take near mid
+    if draw(st.booleans()):  # a steep one, near a value of [-12, 12] at mid
         fa = draw(st.integers(-60, 60))
         fb = math.floor(draw(st.integers(-12, 12)) - fa * mid)
     else:  # through old iterate j at an end x = num / den
@@ -505,7 +507,8 @@ class TestPlaceCarried:
     @given(placements())
     def test_matches_the_rank_by_rank_cut(self, placement):
         A, B, order, fa, fb, part = placement
-        assert _place(A, B, order, fa, fb, *part, None) == place_rank_by_rank(A, B, order, fa, fb, *part)
+        expected = place_rank_by_rank(A, B, order, fa, fb, *part)
+        assert _place(A, B, order, fa, fb, *part, None) == expected
 
     # old iterates x < x + 1 on [0, 1]
     @pytest.mark.parametrize(
