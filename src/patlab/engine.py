@@ -11,8 +11,10 @@ item at depth k is an interval on which iterates 0..k are all affine and
 pairwise distinct, so their rank order is constant there; the item
 carries that order.  One step splits an item by the preimages of the
 map's pieces under its last iterate, then places the new iterate among
-the others.  The split starts at the first piece the item's image
-reaches, found by bisection on the piece ends.
+the others.  The split runs inside the walk's own loop: it starts at the
+first piece the item's image reaches, found by bisection on the piece
+ends, and each part is placed as soon as it is split off, so no list of
+parts is built.
 
 One rule places the new iterate: it has rank r exactly where it lies
 strictly above the old iterate of rank r - 1 and strictly below that of
@@ -24,11 +26,13 @@ cuts it by both inequalities.  Where a segment's upper end is a crossing
 strictly inside the part, the next segment starts there, open, one rank
 up or down; the inequality that crossing solved holds on it already, so
 only its other one is cut.  Each crossing is solved once, and the walk
-stops at the segment that reaches the part's right end.  A walk pruned
-by a pattern (is_realized's) cuts only the rank the pattern asks for, by
-both inequalities.  The crossing points are ties and are dropped, and so
-is a tied endpoint.  A tie at depth k is a tie at every later depth, so
-nothing dropped could realize a longer pattern.
+stops at the segment that reaches the part's right end.  A pattern fixes
+the order at each depth, and with it the new iterate's rank and its two
+neighbours, so a walk pruned by one (is_realized's) builds these once,
+before the first item; _cut cuts each part to that rank by the two
+inequalities as the part is split off.  The crossing points are ties and
+are dropped, and so is a tied endpoint.  A tie at depth k is a tie at
+every later depth, so nothing dropped could realize a longer pattern.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -94,7 +98,11 @@ def walk(
     lists the iterates 0..k from the smallest value up.  Items of one depth
     tile [0, 1] except for the points where two of their iterates tie.
     With `ranks`, only items whose order agrees with a pattern are kept:
-    ranks[k] is where iterate k must sit among iterates 0..k.
+    ranks[k] is where iterate k must sit among iterates 0..k.  The pattern
+    fixes the order at each depth and the two iterates the new one must lie
+    between, and each part is cut to that rank by _cut as it is split off
+    an item; without `ranks`, _place cuts each part into one segment per
+    rank the new iterate takes on it.
     """
     return _walk(m, depth, cell_budget, ranks, [])
 
@@ -120,6 +128,15 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
     q, pieces = _scaled(m, depth)
     los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
+    if ranks is not None:
+        # the pattern fixes the order at each depth and the new iterate's
+        # neighbours there: (j, +1) for the one below it, (j, -1) above it
+        orders, cuts = [(0,)], [()]
+        for k in range(1, depth + 1):
+            order, t = orders[-1], ranks[k]
+            cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
+                              if 0 <= i < len(order)))
+            orders.append(order[:t] + (k,) + order[t:])
     created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
@@ -130,21 +147,53 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             continue
         k1 = k + 1
         a, b = A[k], B[k]
-        target = None if ranks is None else ranks[k1]
-        for sln, sld, slc, shn, shd, shc, s, c in _split(
-            pieces, los, his, a, b, ln, ld, lc, hn, hd, hc
-        ):
-            fa, fb = s * a // q, s * b // q + c
-            segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc, target)
-            if not segments:
+        # split the item by the preimages of the pieces its last iterate a*x + b
+        # lands in; they come left to right, so start at the first piece that
+        # reaches the image of the left end and stop past the item (the pieces
+        # partition [0, 1], so a point item gets one part)
+        y = a * ln + b * ld  # the image of the left end, times ld
+        if a > 0:
+            scan = pieces[bisect.bisect_left(his, -(-y // ld)):]
+        else:
+            scan = reversed(pieces[:bisect.bisect_right(los, y // ld)])
+        for lo, hi, plc, phc, s, c in scan:
+            if a > 0:
+                pln, phn, den, pc_lo, pc_hi = lo - b, hi - b, a, plc, phc
+            else:
+                pln, phn, den, pc_lo, pc_hi = b - hi, b - lo, -a, phc, plc
+            t = phn * ld - ln * den
+            if t < 0 or t == 0 and not (pc_hi and lc):
                 continue
-            A1, B1 = A + (fa,), B + (fb,)
-            for pln, pld, plc, phn, phd, phc, r in segments:
-                stack.append((k1, pln, pld, phn, phd, plc, phc, A1, B1,
-                              order[:r] + (k1,) + order[r:]))
+            t = pln * hd - hn * den
+            if t > 0 or t == 0 and not (pc_lo and hc):
+                break
+            t = pln * ld - ln * den
+            sln, sld, slc = (pln, den, pc_lo) if t > 0 else (ln, ld, lc if t else lc and pc_lo)
+            t = phn * hd - hn * den
+            shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
+            t = sln * shd - shn * sld
+            if t > 0 or t == 0 and not (slc and shc):
+                continue  # the part is empty
+            fa, fb = s * a // q, s * b // q + c
+            if ranks is None:
+                segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
+                if not segments:
+                    continue
+                A1, B1 = A + (fa,), B + (fb,)
+                for nln, nld, nlc, nhn, nhd, nhc, r in segments:
+                    stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A1, B1,
+                                  order[:r] + (k1,) + order[r:]))
+                made = len(segments)
+            else:
+                part = _cut(A, B, fa, fb, cuts[k1], sln, sld, slc, shn, shd, shc)
+                if part is None:
+                    continue
+                nln, nld, nlc, nhn, nhd, nhc = part
+                stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A + (fa,), B + (fb,), orders[k1]))
+                made = 1
             if k1 == len(created):
                 created.append(0)
-            created[k1] += len(segments)
+            created[k1] += made
             if created[k1] > cell_budget:
                 raise ResourceLimit(
                     f"refinement exceeded the cell budget of {cell_budget}: "
@@ -201,43 +250,6 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
             return  # every later count equals this one
 
 
-def _split(pieces, los, his, a, b, ln, ld, lc, hn, hd, hc) -> list[tuple]:
-    """Cut an item by the pieces its last iterate a*x + b lands in, into
-    (lo, hi, flags, slope, intercept) of each part.  los and his list the
-    pieces' ends."""
-    y = a * ln + b * ld  # the image of the left end, times ld
-    if ln * hd == hn * ld:
-        for lo, hi, plc, phc, s, c in pieces:
-            if (y > lo * ld or plc and y == lo * ld) and (y < hi * ld or phc and y == hi * ld):
-                return [(ln, ld, True, hn, hd, True, s, c)]
-    out = []
-    # preimages of the pieces come left to right: start at the first piece
-    # that reaches the image of the left end, and stop past the item
-    if a > 0:
-        scan = pieces[bisect.bisect_left(his, -(-y // ld)):]
-    else:
-        scan = reversed(pieces[:bisect.bisect_right(los, y // ld)])
-    for lo, hi, plc, phc, s, c in scan:
-        if a > 0:
-            pln, phn, den, pc_lo, pc_hi = lo - b, hi - b, a, plc, phc
-        else:
-            pln, phn, den, pc_lo, pc_hi = b - hi, b - lo, -a, phc, plc
-        t = phn * ld - ln * den
-        if t < 0 or t == 0 and not (pc_hi and lc):
-            continue
-        t = pln * hd - hn * den
-        if t > 0 or t == 0 and not (pc_lo and hc):
-            break
-        t = pln * ld - ln * den
-        sl = (pln, den, pc_lo) if t > 0 else (ln, ld, lc if t else lc and pc_lo)
-        t = phn * hd - hn * den
-        sh = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
-        t = sl[0] * sh[1] - sh[0] * sl[1]
-        if t < 0 or t == 0 and sl[2] and sh[2]:
-            out.append((*sl, *sh, s, c))
-    return out
-
-
 def _rank_near(A, B, order, fa, fb, xn, xd) -> int:
     """Rank of the new iterate just right of xn/xd."""
     lo, hi = 0, len(order)
@@ -253,7 +265,7 @@ def _rank_near(A, B, order, fa, fb, xn, xd) -> int:
     return lo
 
 
-def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
+def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     """Cut a part into segments (lo, hi, flags, rank of the new iterate),
     one for each rank the new iterate takes on it, left to right.
 
@@ -261,18 +273,17 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
     order[r - 1] and strictly below order[r]: two linear inequalities in x
     that cut the part to one segment or none.  A cut strictly inside the
     part becomes an open end at the crossing; a cut at an end of the part
-    opens that end, so a tie there is dropped.  With `target`, only that
-    rank is cut.  Without it, the walk starts at the rank just right of the
-    left end.  Within a part the old iterates never cross, so where a
-    segment's upper end is cut strictly inside the part by neighbour
-    order[i], the new iterate crosses order[i] there and takes the rank on
-    order[i]'s other side.  The next segment starts open at that crossing;
+    opens that end, so a tie there is dropped.  The walk starts at the rank
+    just right of the left end.  Within a part the old iterates never cross,
+    so where a segment's upper end is cut strictly inside the part by
+    neighbour order[i], the new iterate crosses order[i] there and takes the
+    rank on order[i]'s other side.  The next segment starts open at that crossing;
     its inequality with order[i] holds there already, so only its other
     neighbour is cut.  The walk stops at the segment that reaches the
     part's right end, or at an empty first cut (a point part that ties,
     or a new iterate equal to an old one on the whole part).
     """
-    r = _rank_near(A, B, order, fa, fb, ln, ld) if target is None else target
+    r = _rank_near(A, B, order, fa, fb, ln, ld)
     met = None  # the neighbour a carried crossing has already passed
     out = []
     while True:
@@ -303,11 +314,43 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc, target) -> list[tuple]:
             elif db <= 0:  # wrong side of j, or equal to it, on the whole part
                 return out
         out.append((ln, ld, lc, shn, shd, shc, r))
-        if crossed is None or target is not None:
+        if crossed is None:
             return out
         # carry the crossing: it is the next segment's open lower end
         ln, ld, lc, met = shn, shd, False, crossed
         r += 1 if crossed == r else -1
+
+
+def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
+    """Cut a part to where the new iterate fa*x + fb takes one rank, or None
+    if it takes it nowhere; the part and the result are (lo, hi, flags).
+
+    `cuts` holds the rank's neighbours as (iterate j, sign): the new
+    iterate must lie above j where sign is +1 and below it where sign is
+    -1, the linear inequality sign * ((fa - A[j]) * x + fb - B[j]) > 0, cut
+    as _place cuts it.
+    """
+    for j, sign in cuts:
+        da, db = sign * (fa - A[j]), sign * (fb - B[j])
+        if da > 0:  # x > -db / da
+            if -db * hd >= hn * da:
+                return None
+            t = -db * ld - ln * da
+            if t > 0:
+                ln, ld, lc = -db, da, False
+            elif t == 0:
+                lc = False
+        elif da < 0:  # x < db / -da
+            if db * ld <= -ln * da:
+                return None
+            t = db * hd + hn * da
+            if t < 0:
+                hn, hd, hc = db, -da, False
+            elif t == 0:
+                hc = False
+        elif db <= 0:  # wrong side of j, or equal to it, on the whole part
+            return None
+    return ln, ld, lc, hn, hd, hc
 
 
 def _word(order) -> Perm:

@@ -34,7 +34,7 @@ from patlab import (
     tent,
 )
 from patlab import engine
-from patlab.engine import _place, walk
+from patlab.engine import _cut, _place, walk
 
 F = Fraction
 
@@ -92,10 +92,11 @@ class TestBudgetChecks:
             is_realized(tent(), (1, 2, 3), cell_budget=budget)
 
     def test_wide_walk_refused_before_the_first_item(self, monkeypatch):
-        def no_split(*args, **kwargs):
+        def no_part(*args, **kwargs):
             raise AssertionError("split an item although the walk is too wide for the budget")
 
-        monkeypatch.setattr("patlab.engine._split", no_split)
+        monkeypatch.setattr("patlab.engine._place", no_part)
+        monkeypatch.setattr("patlab.engine._cut", no_part)
         # sawtooth:4 has 4**11 = 4,194,304 cylinders at depth 11
         with pytest.raises(
             ResourceLimit, match="cell budget of 4000000: at least 4194304 items at depth 11 of 11"
@@ -338,23 +339,48 @@ class TestIsRealized:
         assert not is_realized(alt_sawtooth(9), w)
         assert is_realized(alt_sawtooth(9), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
 
-    def test_pruned_walk_items_per_depth(self):
-        """The pruned walk behind the alt_sawtooth:9 witness keeps these items."""
-        w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
+    @pytest.mark.parametrize(
+        "ramps, w, expected",
+        [
+            (9, (3, 5, 7, 9, 10, 8, 6, 4, 2, 1), [1, 8, 32, 88, 192, 552, 688, 576, 256, 0]),
+            (11, (3, 5, 7, 9, 11, 12, 10, 8, 6, 4, 2, 1),
+             [1, 10, 50, 170, 450, 1002, 2972, 4048, 4096, 2816, 1024, 0]),
+        ],
+        ids=["alt_sawtooth:9", "alt_sawtooth:11"],
+    )
+    def test_pruned_walk_items_per_depth(self, ramps, w, expected):
+        """The pruned walk behind the alt_sawtooth witness keeps these items."""
         ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
-        counts = Counter(item[0] for item in walk(alt_sawtooth(9), 9, ranks=ranks))
-        assert [counts[k] for k in range(10)] == [1, 8, 32, 88, 192, 552, 688, 576, 256, 0]
-        assert sum(counts.values()) == 2393
+        counts = Counter(item[0] for item in walk(alt_sawtooth(ramps), ramps, ranks=ranks))
+        assert [counts[k] for k in range(ramps + 1)] == expected
+        assert sum(counts.values()) == {9: 2393, 11: 16639}[ramps]
+
+    def test_pruned_walk_refuses_past_the_budget(self):
+        # depth first, depth 5 (552 items in all) passes 100 before depth 4 (192) does
+        w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
+        with pytest.raises(
+            ResourceLimit,
+            match=r"^refinement exceeded the cell budget of 100: 101 items at depth 5 of 9$",
+        ):
+            is_realized(alt_sawtooth(9), w, cell_budget=100)
+
+
+def neighbours(order, target):
+    """The target rank's neighbours as _cut takes them: (iterate, +1) below
+    the new iterate and (iterate, -1) above it."""
+    return tuple((order[i], sign) for i, sign in ((target - 1, 1), (target, -1))
+                 if 0 <= i < len(order))
 
 
 def placed(A, B, order, fa, fb, part, target):
-    """_place's segments of a part, with and without the target rank."""
-    whole = [s for s in _place(A, B, order, fa, fb, *part, None) if s[-1] == target]
-    return _place(A, B, order, fa, fb, *part, target), whole
+    """A part cut to the target rank, and _place's segment of that rank."""
+    whole = [seg[:-1] for seg in _place(A, B, order, fa, fb, *part) if seg[-1] == target]
+    assert len(whole) <= 1
+    return _cut(A, B, fa, fb, neighbours(order, target), *part), (whole[0] if whole else None)
 
 
 class TestPlaceTarget:
-    """The cut to one target rank against the full placement filtered to it.
+    """_cut to one target rank against the full placement filtered to it.
 
     Iterates are A[j] * x + B[j]; parts are (lo_num, lo_den, lo_closed,
     hi_num, hi_den, hi_closed).
@@ -366,13 +392,13 @@ class TestPlaceTarget:
         "fa, fb, target, expected",
         [
             # the new iterate 4x - 1 crosses 2x inside, at x = 1/2
-            (4, -1, 0, (0, 1, True, 1, 2, False, 0)),
-            (4, -1, 1, (1, 2, False, 1, 1, True, 1)),
+            (4, -1, 0, (0, 1, True, 1, 2, False)),
+            (4, -1, 1, (1, 2, False, 1, 1, True)),
             # 4x crosses 2x at the left end: that end opens, keeping 0/1
-            (4, 0, 1, (0, 1, False, 1, 1, True, 1)),
+            (4, 0, 1, (0, 1, False, 1, 1, True)),
             (4, 0, 0, None),
             # 4x - 2 crosses 2x at the right end
-            (4, -2, 0, (0, 1, True, 1, 1, False, 0)),
+            (4, -2, 0, (0, 1, True, 1, 1, False)),
             (4, -2, 1, None),
             # the new iterate repeats its only neighbour
             (2, 0, 0, None),
@@ -381,23 +407,24 @@ class TestPlaceTarget:
     )
     def test_one_old_iterate(self, fa, fb, target, expected):
         cut, whole = placed((2,), (0,), (0,), fa, fb, self.UNIT, target)
-        assert cut == whole == ([] if expected is None else [expected])
+        assert cut == whole == expected
 
     @pytest.mark.parametrize("target", [0, 1, 2])
     def test_repeats_an_iterate_that_is_not_a_neighbour(self, target):
         # old iterates 2x < 2x + 1; the new one repeats 2x
         cut, whole = placed((2, 2), (0, 1), (0, 1), 2, 0, self.UNIT, target)
-        assert cut == whole == []
+        assert cut is whole is None
 
     def test_lowest_and_highest_rank_have_one_neighbour(self):
         # old iterates 2x < -2x + 4 on [0, 1]; the new 8x - 2 crosses them
         # at 2/6 and 6/10, ends written unreduced as the crossings give them
         A, B, order = (2, -2), (0, 4), (0, 1)
+        assert [len(neighbours(order, t)) for t in (0, 1, 2)] == [1, 2, 1]
         got = {t: placed(A, B, order, 8, -2, self.UNIT, t) for t in (0, 1, 2)}
         assert all(cut == whole for cut, whole in got.values())
-        assert got[0][0] == [(0, 1, True, 2, 6, False, 0)]
-        assert got[1][0] == [(2, 6, False, 6, 10, False, 1)]
-        assert got[2][0] == [(6, 10, False, 1, 1, True, 2)]
+        assert got[0][0] == (0, 1, True, 2, 6, False)
+        assert got[1][0] == (2, 6, False, 6, 10, False)
+        assert got[2][0] == (6, 10, False, 1, 1, True)
 
     @pytest.mark.parametrize(
         "fa, fb, expected",
@@ -407,7 +434,7 @@ class TestPlaceTarget:
         point = (1, 2, True, 1, 2, True)
         for target in (0, 1):
             cut, whole = placed((2,), (0,), (0,), fa, fb, point, target)
-            assert cut == whole == ([(*point, target)] if target in expected else [])
+            assert cut == whole == (point if target in expected else None)
 
 
 def place_rank_by_rank(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc):
@@ -508,7 +535,7 @@ class TestPlaceCarried:
     def test_matches_the_rank_by_rank_cut(self, placement):
         A, B, order, fa, fb, part = placement
         expected = place_rank_by_rank(A, B, order, fa, fb, *part)
-        assert _place(A, B, order, fa, fb, *part, None) == expected
+        assert _place(A, B, order, fa, fb, *part) == expected
 
     # old iterates x < x + 1 on [0, 1]
     @pytest.mark.parametrize(
@@ -524,8 +551,17 @@ class TestPlaceCarried:
     )
     def test_passes_three_ranks(self, fa, fb, expected):
         A, B, order, unit = (1, 1), (0, 1), (0, 1), (0, 1, True, 1, 1, True)
-        assert _place(A, B, order, fa, fb, *unit, None) == expected
+        assert _place(A, B, order, fa, fb, *unit) == expected
         assert place_rank_by_rank(A, B, order, fa, fb, *unit) == expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(placements())
+def test_cut_matches_the_placement_of_each_rank(placement):
+    A, B, order, fa, fb, part = placement
+    for target in range(len(order) + 1):
+        cut, whole = placed(A, B, order, fa, fb, part, target)
+        assert cut == whole, target
 
 
 class TestGenericMapProperties:

@@ -11,6 +11,7 @@ identity or an involution, which fully cover themselves and yet carry
 no item past the first depth.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -256,6 +257,37 @@ SKEW_TENT = load_map_spec(
 )
 def test_cylinder_bound_on_the_benchmark_maps(m, depth):
     assert_bound_below_items(m, depth)
+
+
+@pytest.mark.parametrize(
+    "m", [sawtooth(3), alt_sawtooth(5), SKEW_TENT],
+    ids=["sawtooth:3", "alt_sawtooth:5", "skew-tent"],
+)
+def test_pruned_walk_is_the_filtered_full_walk_in_order(m):
+    """The pruned walk yields the full walk's items whose order agrees with
+    the pattern's prefix, in the full walk's depth-first order, on the
+    patterns of seeded exact orbits and on seeded permutations."""
+    rng = random.Random(19)
+    for n in (6, 7, 8):
+        patterns = []
+        while len(patterns) < 3:
+            values = orbit(m, Fraction(rng.randrange(1, 10007), 10007), n)
+            if len(set(values)) == n:
+                patterns.append(reduce_values(values))
+        patterns.append(tuple(rng.sample(range(1, n + 1), n)))
+        # the items of each pattern, keyed by the order they agree with at each depth
+        kept = [[] for _ in patterns]
+        agreeing = {}
+        for p, pi in enumerate(patterns):
+            for k in range(n):
+                order = tuple(sorted(range(k + 1), key=pi.__getitem__))
+                agreeing.setdefault((k, order), []).append(p)
+        for item in walk(m, n - 1):
+            for p in agreeing.get((item[0], item[-1]), ()):
+                kept[p].append(item)
+        for pi, items in zip(patterns, kept):
+            ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(n)]
+            assert list(walk(m, n - 1, ranks=ranks)) == items, pi
 
 
 def test_cylinder_bound_counts_the_catalog_cylinders():
