@@ -16,8 +16,13 @@ the pattern of a tied orbit is undefined, and a false pattern is worse
 than a lost sample.
 
 Start points are streamed in chunks of at most _CHUNK, so no more than
-one chunk of them and its orbits is held at a time.  The orbit length n
-alone picks one of two paths.
+one chunk of them and its orbits is held at a time.  The seeded half is
+a SplitMix64 counter stream computed on uint64 arrays in NumPy core:
+draw i depends on the seed and i alone, so a seed fixes the points
+whatever the chunk size, and sampling never loads numpy.random.  Seeded
+sets from revisions that drew from Philox can differ wherever a sample
+does not saturate its length.  The orbit length n alone picks one of two
+paths.
 
 - n <= _MAX_CODED: no orbit is sorted.  One pass over the pairs of
   positions i < j counts, for each value, the values below it (its rank
@@ -68,6 +73,13 @@ _SAMPLE_BUDGET = 10_000_000
 _MAX_ORBIT = 100_000
 # longest orbit whose rank word fits one int64 code: 15**15 < 2**63 <= 16**16
 _MAX_CODED = 15
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden gamma that
+# steps the counter and the two multipliers of its output function
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
+_UNIT = np.float64(2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,15 @@ class SampleConfig:
     """How many orbits to sample and how to seed them.
 
     grid_count equally spaced interior points j/(grid_count+1), then
-    random_count uniform points from a Philox stream seeded with seed.
-    Points are generated chunk by chunk, and Philox yields the same
-    stream in pieces, so results do not depend on the chunk size.  The
-    defaults saturate the length-5 allowed sets of the catalog maps in a
-    fraction of a second while staying reproducible.
+    random_count uniform points from a SplitMix64 stream keyed by seed,
+    which may be any nonnegative int.  Points are generated chunk by
+    chunk, and each draw is a function of its index alone, so a seed
+    fixes the points whatever the chunk size.  Drawing them loads no
+    numpy.random.  At a given seed the draws differ from the Philox
+    stream of earlier revisions, so a seeded set that does not saturate
+    its length can differ from theirs.  The defaults saturate the length-5
+    allowed sets of the catalog maps in a fraction of a second while
+    staying reproducible.
     """
 
     grid_count: int = 100_000
@@ -248,16 +264,56 @@ def pattern_at(
     return tuple((np.argsort(order) + 1).tolist())
 
 
+def _mix64(z: np.ndarray) -> None:
+    """SplitMix64's output function, in place on a uint64 array.
+
+    A bijection on 64-bit words.  Array arithmetic wraps modulo 2**64
+    without an overflow warning, and every constant is a uint64 so nothing
+    promotes to float64.
+    """
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+
+
+def _stream_key(seed: int) -> np.ndarray:
+    """The 64-bit key of a nonnegative seed, as a one-element uint64 array.
+
+    mix64(seed) below 2**64, so distinct seeds there get distinct keys; a
+    larger seed folds each further 64-bit limb in, after a step of the
+    golden gamma, through one more mix64.
+    """
+    key = np.array([seed & _MASK64], dtype=np.uint64)
+    _mix64(key)
+    while seed := seed >> 64:
+        key += _GOLDEN
+        key ^= np.uint64(seed & _MASK64)
+        _mix64(key)
+    return key
+
+
 def _sample_points(cfg: SampleConfig) -> Iterator[np.ndarray]:
-    """Start points in chunks of at most _CHUNK: the grid, then the seeded draws."""
+    """Start points in chunks of at most _CHUNK: the grid, then the seeded draws.
+
+    Draw i (counted from 1 across all chunks) is SplitMix64's
+    mix64(key + i * 0x9E3779B97F4A7C15 mod 2**64), its top 53 bits scaled
+    by 2**-53: an exact multiple of 2**-53 in [0, 1).  The stream is a
+    function of the draw index alone, so the chunk size cannot change it,
+    and drawing it needs nothing from numpy.random.
+    """
     g = cfg.grid_count
     for start in range(0, g, _CHUNK):
         yield np.arange(start + 1, min(start + _CHUNK, g) + 1, dtype=np.float64) / (g + 1)
-    # counter-based generator: drawing the stream in pieces cannot change
-    # it, so results are independent of chunking
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    key = _stream_key(cfg.seed)
     for start in range(0, cfg.random_count, _CHUNK):
-        yield rng.random(min(_CHUNK, cfg.random_count - start))
+        z = np.arange(start + 1, min(start + _CHUNK, cfg.random_count) + 1, dtype=np.uint64)
+        z *= _GOLDEN
+        z += key
+        _mix64(z)
+        z >>= np.uint64(11)
+        yield z * _UNIT
 
 
 def _check_budget(cfg: SampleConfig, width: int) -> None:

@@ -1,8 +1,10 @@
 """What a fresh interpreter loads, and the public names it sees.
 
 NumPy serves only the float sampler, and hashlib only the on-disk cache,
-so the exact commands and a bare `import patlab` must load neither.  Each
-check starts its own interpreter: within this test session both modules
+so the exact commands and a bare `import patlab` must load neither.  The
+sampler draws its start points in NumPy core, so sampling loads neither
+numpy.random nor hashlib beyond what `import numpy` itself loads.  Each
+check starts its own interpreter: within this test session these modules
 are long loaded.
 """
 
@@ -50,14 +52,14 @@ EXACT_COMMANDS = [
 ]
 
 
-def probe(body: str, cache_dir=None) -> dict:
+def probe(body: str, cache_dir=None, watched=WATCHED) -> dict:
     """Run body in a fresh interpreter: the watched modules it loaded, and all loaded."""
     env = {k: v for k, v in os.environ.items() if k != "PATLAB_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if cache_dir is not None:
         env["PATLAB_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body, watched=WATCHED)],
+        [sys.executable, "-c", PROBE.format(body=body, watched=watched)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -92,6 +94,19 @@ def test_cache_loads_hashlib_only_when_set(tmp_path):
 )
 def test_float_commands_load_numpy(argv):
     assert "numpy" in cli_probe(argv)["loaded"]
+
+
+def test_sampling_loads_no_numpy_random():
+    # NumPy 1.x loads numpy.random within `import numpy`, so count from there
+    body = "import numpy\nbefore = set(sys.modules)\n" + CLI_BODY.format(
+        argv=["sample", "--map", "logistic:3.7", "--n", "5", "--seed", "3", "--scan-missing", "8"]
+    ) + """
+from patlab import NumericMap, SampleConfig, first_missing_cap, sampled_allowed
+cfg = SampleConfig(grid_count=1000, random_count=1000, seed=2**64)
+assert len(sampled_allowed(NumericMap.logistic(3.9), 6, cfg)) > 0
+first_missing_cap(NumericMap.logistic(4.0), 9, cfg)
+"""
+    assert probe(body, watched=("numpy.random", "hashlib"))["new"] == []
 
 
 @pytest.mark.parametrize("name", ["SampleConfig", "numeric"])

@@ -246,6 +246,17 @@ class TestCli:
         assert code == 0
         assert "first_missing_cap" in env["result"]
 
+    @pytest.mark.parametrize("seed", ["0", "1000000000000000000000000000000"])
+    def test_sample_seed_is_reproducible(self, capsys, seed):
+        # any nonnegative seed is valid, also one past 64 bits
+        argv = ["sample", "--map", "logistic:3.7", "--n", "5", "--seed", seed]
+        runs = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            runs.append(json.loads(out)["result"]["patterns"])
+        assert runs[0] == runs[1] and len(runs[0]) > 10
+
     def test_logistic4_note_in_exact_output(self, capsys):
         code, out, _ = run_cli(capsys, ["basic", "--map", "logistic:4", "--n", "3"])
         env = json.loads(out)

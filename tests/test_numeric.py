@@ -242,12 +242,68 @@ class TestCapScan:
             first_missing_cap(self.CREEP, 51, self.TEN)
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """SplitMix64's output function on a Python int below 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_draws(seed, count):
+    """Draws 1..count of the seeded SplitMix64 stream, one Python int at a time."""
+    key = mix64(seed & MASK64)
+    while seed := seed >> 64:
+        key = mix64(((key + GOLDEN) & MASK64) ^ (seed & MASK64))
+    return [(mix64((key + i * GOLDEN) & MASK64) >> 11) / 2**53 for i in range(1, count + 1)]
+
+
 def start_points(cfg):
-    """The sampler's start points, built without the sampler: grid, then Philox draws."""
+    """The sampler's start points, built without the sampler: grid, then SplitMix64 draws."""
     g = cfg.grid_count
     grid = [j / (g + 1) for j in range(1, g + 1)]
-    draws = np.random.Generator(np.random.Philox(cfg.seed)).random(cfg.random_count)
-    return grid + draws.tolist()
+    return grid + splitmix_draws(cfg.seed, cfg.random_count)
+
+
+def sampler_points(cfg):
+    return np.concatenate(list(numeric_mod._sample_points(cfg))).tolist()
+
+
+class TestStartPointStream:
+    """The vectorized uint64 stream against the scalar reference above."""
+
+    SEEDS = [0, 1, 2**32, 2**64 - 1, 2**64, 10**30]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_the_scalar_reference(self, seed, monkeypatch):
+        monkeypatch.setattr(numeric_mod, "_CHUNK", 1000)
+        cfg = SampleConfig(grid_count=0, random_count=3500, seed=seed)
+        # four chunks, the last a short one; float equality here is bit equality
+        assert sampler_points(cfg) == splitmix_draws(seed, 3500)
+
+    def test_seed_zero_is_the_published_stream(self):
+        # mix64(0) = 0, so seed 0 steps from state 0: SplitMix64's first
+        # output from seed 0 is 0xE220A8397B1DCDAF
+        cfg = SampleConfig(grid_count=0, random_count=1, seed=0)
+        assert sampler_points(cfg) == [(0xE220A8397B1DCDAF >> 11) / 2**53]
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_chunk_size_cannot_change_the_points(self, chunk, monkeypatch):
+        cfg = SampleConfig(grid_count=1500, random_count=2500, seed=11)
+        lm = NumericMap.logistic(3.9)
+        points, found = sampler_points(cfg), sampled_allowed(lm, 6, cfg)
+        monkeypatch.setattr(numeric_mod, "_CHUNK", chunk)
+        assert sampler_points(cfg) == points
+        assert sampled_allowed(lm, 6, cfg) == found
+
+    def test_distinct_seeds_give_distinct_draws(self):
+        seeds = [*self.SEEDS, 2, 3, 2**63, 2**64 + 1, 2**128, 10**30 + 1]
+        draws = {tuple(sampler_points(SampleConfig(grid_count=0, random_count=4, seed=s)))
+                 for s in seeds}
+        assert len(draws) == len(seeds)
 
 
 def pointwise_patterns(nm, n, cfg):
