@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -310,7 +311,10 @@ def _emit(core: dict, args, started: float) -> None:
         if args.format == "csv":
             fh.write(_result_to_csv(envelope["result"]))
         else:
-            json.dump(envelope, fh, indent=2)  # streamed, so a large report is never held twice
+            # streamed in blocks of encoder chunks: few writes, and a large report is never held whole
+            chunks = json.JSONEncoder(indent=2).iterencode(envelope)
+            while block := list(itertools.islice(chunks, 4096)):
+                fh.write("".join(block))
             fh.write("\n")
 
 

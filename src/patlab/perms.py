@@ -11,10 +11,13 @@ time, a state keeps only the ranks of the longest suffix of the placed
 values that reduces to a proper prefix of a forbidden pattern, among
 those values and the unused ones; many prefixes share a state.
 One forward pass sums the counts over the states of one depth at a
-time; `count_avoiders` keeps only the last depth.  `avoiders` keeps each
-depth's states, expands them again from the last depth back to keep the
-moves into states that reach a full permutation, then walks those in
-ascending order.
+time, and stops at the first depth with no state; `count_avoiders`
+keeps only the last depth.  `avoiders` keeps each depth's states and
+expands them again from the last depth back, keeping the moves into
+states that reach a full permutation and counting each kept state's
+completions.  It then picks a meeting depth, builds each live state's
+completions there once, and walks the prefixes down to that depth in
+ascending order, appending each prefix's completions.
 
 >>> reduce_values([3, 4.2, -2, 1.7, 1])
 (4, 5, 1, 3, 2)
@@ -174,6 +177,8 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
 
     The budget bounds the moves examined: each state at depth k is
     charged one move per unused value, n - k, a whole depth at a time.
+    The first depth with no state is the last one yielded: no deeper
+    depth can hold one.
     """
     if node_budget < 1:
         raise BadParameter(f"the node budget must be positive, got {node_budget}")
@@ -194,6 +199,8 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
                 nxt[t] = nxt.get(t, 0) + c
         counts = nxt
         yield counts
+        if not counts:
+            return
 
 
 def avoiders(
@@ -204,7 +211,14 @@ def avoiders(
     """All permutations of 1..n with no window reducing to a given pattern.
 
     The listing holds count * n entries, charged against the node budget
-    before any word is built.
+    before any word is built.  The words are built at one meeting depth
+    k: each live prefix of length k, walked in ascending order, is joined
+    to each completion of its state, held as the positions of the values
+    it places among the prefix's unused ones.  k is the first depth that
+    makes the fewest live prefixes of lengths 1..k plus completions of
+    the states of depths k..n - 1.  Every completion at a depth extends
+    a live prefix to a distinct avoider, so each depth's completions
+    hold at most count * n entries too.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
@@ -213,7 +227,7 @@ def avoiders(
         return PatternSet(n, tuple(all_perms(n)))
     expand = _expander(by_len, n)
     layers = list(_forward(expand, n, node_budget))
-    count = sum(layers[n].values())
+    count = sum(layers[-1].values())
     if count == 0:
         return PatternSet(n, ())
     if count * n > node_budget:
@@ -221,22 +235,45 @@ def avoiders(
             f"avoider listing exceeded the node budget of {node_budget}: "
             f"{count} avoiders of length {n}"
         )
-    # backward pass: expand each depth again, keeping only moves into states that reach depth n
-    live = layers.pop()
+    # backward pass: expand each depth again, keeping only the moves into states
+    # that reach depth n, and count each kept state's completions
+    ways = dict.fromkeys(layers.pop(), 1)
     tables: list[dict[Perm, list]] = [{} for _ in range(n)]
+    prefixes = [0] * n  # live prefixes of each length
+    completions = [0] * (n + 1)  # [k]: completions of the live states of depths k..n-1
     for depth in reversed(range(n)):
-        for tail, out in expand(layers.pop(), depth):
-            out = [move for move in out if move[1] in live]
+        layer, below, ways = layers.pop(), ways, {}
+        for tail, out in expand(layer, depth):
+            out = [move for move in out if move[1] in below]
             if out:
                 tables[depth][tail] = out
-        live = tables[depth]
-    # depth first, smallest value first: the avoiders come out in lexicographic order
+                ways[tail] = sum(below[t] for _, t in out)
+                prefixes[depth] += layer[tail]
+        completions[depth] = completions[depth + 1] + sum(ways.values())
+    # meet at the first depth k with the fewest live prefixes of lengths up to k
+    # plus completions of depths k..n-1
+    costs = list(map(operator.add, itertools.accumulate(prefixes), completions))
+    meet = costs.index(min(costs))
+    # a completion of a state at depth d picks the unused values, sorted, at
+    # its positions; at depth n - 1, tuple keeps the single value left as it is
+    getters: dict[Perm, list] = dict.fromkeys(tables[n - 1], [tuple])
+    for depth in reversed(range(meet, n - 1)):
+        # the positions left among the unused values once position j is placed
+        positions = tuple(range(n - depth))
+        placed = {j for out in tables[depth].values() for j, _ in out}
+        lift = {j: positions[:j] + positions[j + 1 :] for j in placed}
+        getters = {
+            tail: [operator.itemgetter(j, *g(lift[j])) for j, nxt in out for g in getters[nxt]]
+            for tail, out in tables[depth].items()
+        }
+    # prefixes depth first, smallest value first, then their completions in
+    # order: the avoiders come out in lexicographic order
     found: list[Perm] = []
     stack = [((), tuple(range(1, n + 1)), ())]
     while stack:
         prefix, rest, tail = stack.pop()
-        if not rest:
-            found.append(prefix)
+        if len(prefix) == meet:
+            found.extend([prefix + g(rest) for g in getters[tail]])
             continue
         for j, nxt in reversed(tables[len(prefix)][tail]):
             stack.append((prefix + (rest[j],), rest[:j] + rest[j + 1 :], nxt))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from patlab import (
     __version__,
     UnknownMap,
     ValidationError,
+    avoiders,
     exact_allowed,
     exact_basic_forbidden,
     exact_forbidden,
@@ -20,6 +22,7 @@ from patlab import (
     serialize,
     tent,
 )
+from patlab import cli
 from patlab.cli import build_parser, run
 
 SHORTHANDS = [
@@ -296,6 +299,41 @@ class TestCli:
     def test_version_and_usage(self, capsys):
         assert run_cli(capsys, ["--version"])[0] == 0
         assert run_cli(capsys, [])[0] == 2
+
+    def test_empty_depth_ends_the_avoider_search(self, capsys):
+        # no state survives the pattern 1; depth 0 charges 10**20 moves, and
+        # no deeper depth is searched
+        for command, result in (("count", 0), ("avoiders", {"n": 10**20, "patterns": []})):
+            argv = [command, "--patterns", "1", "--n", str(10**20), "--node-budget", str(10**21)]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0 and json.loads(out)["result"] == result
+
+
+class TestJsonReport:
+    """A JSON report is written in blocks, byte for byte as json.dumps would write it."""
+
+    def test_large_listing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 1.0))  # elapsed_ms 0.0
+        result = avoiders([(1, 2, 3)], 9).to_json()
+        assert len(result["patterns"]) == 99377  # about 200,000 encoder chunks
+        envelope = {
+            "map": None, "n": 9, "exact": True, "result": result,
+            "engine_version": __version__, "elapsed_ms": 0.0,
+        }
+        expected = json.dumps(envelope, indent=2) + "\n"
+        argv = ["avoiders", "--patterns", "123", "--n", "9"]
+        assert run_cli(capsys, argv) == (0, expected, "")
+        path = tmp_path / "report.json"
+        assert run_cli(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
+    def test_envelope_with_note(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 1.0))
+        code, out, _ = run_cli(capsys, ["basic", "--map", "logistic:4", "--n", "4"])
+        envelope = json.loads(out)
+        assert code == 0 and list(envelope)[-2:] == ["elapsed_ms", "note"]
+        assert envelope["elapsed_ms"] == 0.0
+        assert out == json.dumps(envelope, indent=2) + "\n"
 
 
 class TestCliSurface:

@@ -7,6 +7,7 @@ grade its own homework.
 
 import itertools
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -27,6 +28,10 @@ from patlab import (
     parse_perm,
     reduce_values,
 )
+from patlab.perms import DEFAULT_NODE_BUDGET, _expander, _forward, _group_by_length
+
+# the basic forbidden patterns of the tent map of lengths 3..5
+TENT_BASIS_3_5 = "1423,14523,2134,2143,23415,23514,31245,31254,3142,321,41253,41352,4231,45132,52341"
 
 
 class TestReduce:
@@ -212,6 +217,89 @@ class TestAvoiders:
         monkeypatch.setattr("patlab.perms.PatternSet", None)  # building the listing would fail
         with pytest.raises(ResourceLimit, match="node budget of 67: 17 avoiders of length 4"):
             avoiders([(3, 2, 1)], 4, node_budget=67)
+
+    def test_forward_stops_at_the_first_empty_depth(self):
+        # no state survives the pattern 1, so a search that went on would
+        # yield one more empty depth per unused value
+        n = 4 * 10**7
+        expand = _expander(_group_by_length([(1,)]), n)
+        assert list(itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)) == [{(): 1}, {}]
+        # depth 0 charges its 10**20 moves; no deeper depth is reached
+        assert count_avoiders([(1,)], 10**20, node_budget=10**21) == 0
+        assert len(avoiders([(1,)], 10**20, node_budget=10**21)) == 0
+
+
+def listing_and_meet(monkeypatch, patterns, n):
+    """avoiders(patterns, n), and the depth k at which its words were built.
+
+    Each completion of a state at depth k < n - 1 is an itemgetter of its
+    n - k positions, the widest built; depth n - 1 builds none.
+    """
+    widths = []
+    itemgetter = operator.itemgetter
+
+    def spy(*positions):
+        widths.append(len(positions))
+        return itemgetter(*positions)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(operator, "itemgetter", spy)
+        found = avoiders(patterns, n)
+    return found, n - max(widths, default=1)
+
+
+def valleys(n):
+    """The permutations of 1..n that fall to 1 and then rise, in lexicographic order."""
+    found = []
+    for mask in range(2 ** (n - 1)):
+        left = [v for v in range(2, n + 1) if mask >> (v - 2) & 1]
+        right = [v for v in range(2, n + 1) if not mask >> (v - 2) & 1]
+        found.append((*reversed(left), 1, *right))
+    return sorted(found)
+
+
+class TestMeetingDepth:
+    """The listing meets its prefixes and completions at one depth k.
+
+    Depth 0 makes count completions there, at least the live prefixes of
+    length 1 that depth 1 makes in their place; depth n - 1 makes count
+    prefixes, at least the completions of depth n - 2.  So neither end
+    costs less than its neighbour, and as the first of the cheapest
+    depths, n - 1 is picked only when n = 1.
+    """
+
+    @pytest.mark.parametrize(
+        "text, n, meet",
+        [
+            ("21", 6, 0),  # one prefix and one completion a depth: every depth costs the same
+            ("123", 2, 0),  # the same tie
+            ("123", 1, 0),  # k = n - 1
+            ("321", 3, 1),  # k = n - 2
+            ("123", 8, 4),
+            (TENT_BASIS_3_5, 8, 5),
+        ],
+    )
+    def test_against_brute_force(self, monkeypatch, text, n, meet):
+        patterns = [parse_perm(w) for w in text.split(",")]
+        found, k = listing_and_meet(monkeypatch, patterns, n)
+        assert k == meet
+        assert list(found) == brute_avoiders(patterns, n)
+        assert all(a < b for a, b in zip(found.patterns, found.patterns[1:]))
+
+    def test_comma_form(self, monkeypatch):
+        # no 132 or 231 window means no peak; S_11 is too large to filter
+        found, k = listing_and_meet(monkeypatch, [(1, 3, 2), (2, 3, 1)], 11)
+        assert k == 3
+        assert found.to_json()["patterns"] == [",".join(map(str, p)) for p in valleys(11)]
+
+    def test_budget_messages_are_unchanged(self):
+        patterns = [parse_perm(w) for w in TENT_BASIS_3_5.split(",")]
+        with pytest.raises(ResourceLimit, match="node budget of 100: 56 states at depth 2 of 8$"):
+            avoiders(patterns, 8, node_budget=100)
+        # 1,872 avoiders of length 8 hold 14,976 entries
+        with pytest.raises(ResourceLimit, match="node budget of 14975: 1872 avoiders of length 8$"):
+            avoiders(patterns, 8, node_budget=14975)
+        assert len(avoiders(patterns, 8, node_budget=14976)) == 1872
 
 
 class TestTextForms:
