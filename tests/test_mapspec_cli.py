@@ -315,7 +315,7 @@ class TestJsonReport:
     def test_large_listing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 1.0))  # elapsed_ms 0.0
         result = avoiders([(1, 2, 3)], 9).to_json()
-        assert len(result["patterns"]) == 99377  # about 200,000 encoder chunks
+        assert len(result["patterns"]) == 99377  # about 100,000 encoder chunks: 25 blocks
         envelope = {
             "map": None, "n": 9, "exact": True, "result": result,
             "engine_version": __version__, "elapsed_ms": 0.0,
