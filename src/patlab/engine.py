@@ -30,9 +30,12 @@ stops at the segment that reaches the part's right end.  A pattern fixes
 the order at each depth, and with it the new iterate's rank and its two
 neighbours, so a walk pruned by one (is_realized's) builds these once,
 before the first item; _cut cuts each part to that rank by the two
-inequalities as the part is split off.  The crossing points are ties and
-are dropped, and so is a tied endpoint.  A tie at depth k is a tie at
-every later depth, so nothing dropped could realize a longer pattern.
+inequalities as the part is split off.  It fixes whether iterate k + 1
+lies above iterate k too, so an item of depth k is split only by the
+parts of pieces on that side of the diagonal (_sides).  The crossing
+points are ties and are dropped, and so is a tied endpoint.  A tie at
+depth k is a tie at every later depth, so nothing dropped could realize
+a longer pattern.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -101,8 +104,9 @@ def walk(
     ranks[k] is where iterate k must sit among iterates 0..k.  The pattern
     fixes the order at each depth and the two iterates the new one must lie
     between, and each part is cut to that rank by _cut as it is split off
-    an item; without `ranks`, _place cuts each part into one segment per
-    rank the new iterate takes on it.
+    an item, which is split only by the parts of pieces on the side of the
+    diagonal the pattern asks (_sides); without `ranks`, _place cuts each
+    part into one segment per rank the new iterate takes on it.
     """
     return _walk(m, depth, cell_budget, ranks, [])
 
@@ -126,16 +130,20 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
                 f"which has more than {_MAX_DIGITS} digits"
             )
     q, pieces = _scaled(m, depth)
-    los, his = [p[0] for p in pieces], [p[1] for p in pieces]
+    whole = pieces, [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
     if ranks is not None:
-        # the pattern fixes the order at each depth and the new iterate's
-        # neighbours there: (j, +1) for the one below it, (j, -1) above it
-        orders, cuts = [(0,)], [()]
+        # the pattern fixes the order at each depth, the new iterate's
+        # neighbours there, (j, +1) below it and (j, -1) above it, and the
+        # side of the diagonal whose pieces split the items of depth k
+        below, above = ((side, [p[0] for p in side], [p[1] for p in side])
+                        for side in _sides(pieces, q))
+        orders, cuts, splits = [(0,)], [()], []
         for k in range(1, depth + 1):
             order, t = orders[-1], ranks[k]
             cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
                               if 0 <= i < len(order)))
+            splits.append(above if order.index(k - 1) < t else below)
             orders.append(order[:t] + (k,) + order[t:])
     created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
@@ -147,10 +155,11 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             continue
         k1 = k + 1
         a, b = A[k], B[k]
+        pieces, los, his = whole if ranks is None else splits[k]
         # split the item by the preimages of the pieces its last iterate a*x + b
         # lands in; they come left to right, so start at the first piece that
         # reaches the image of the left end and stop past the item (the pieces
-        # partition [0, 1], so a point item gets one part)
+        # are disjoint, so a point item gets at most one part)
         y = a * ln + b * ld  # the image of the left end, times ld
         if a > 0:
             scan = pieces[bisect.bisect_left(his, -(-y // ld)):]
@@ -212,6 +221,34 @@ def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
          int(p.slope * q), int(p.intercept * scale))
         for p in m.pieces
     ]
+
+
+def _sides(pieces, q) -> tuple[list[tuple], list[tuple]]:
+    """(below, above): the parts of scaled pieces where f(X) < X and > X.
+
+    f(X) - X has the sign of (s - q) * X + c * q, zero at X* = -c*q/(s - q),
+    so a part runs from X* to an end of its piece.  Its cut is moved one
+    unit outward, to ceil(X*) - 1 or floor(X*) + 1, closed and clipped to
+    the piece, so its ends stay integers.  The unit added is tied or on the
+    other side, and the rank cuts drop it with the same ends as on the
+    whole piece, since the new iterate's neighbours are on the wanted side
+    of the old one: the pruned walk keeps the same items.
+    """
+    below, above = [], []
+    for piece in pieces:
+        lo, hi, lc, hc, s, c = piece
+        d, e = s - q, c * q
+        for sign, side in ((-1, below), (1, above)):
+            at_lo, at_hi = sign * (d * lo + e), sign * (d * hi + e)
+            if at_lo > 0 and at_hi > 0:
+                side.append(piece)
+            elif at_hi > 0:  # on this side right of X*, lo <= X* < hi
+                cut = -(e // d) - 1
+                side.append((cut, hi, True, hc, s, c) if cut > lo else piece)
+            elif at_lo > 0:  # on this side left of X*, lo < X* <= hi
+                cut = -e // d + 1
+                side.append((lo, cut, lc, True, s, c) if cut < hi else piece)
+    return below, above
 
 
 def _check_budget(cell_budget: int) -> None:
@@ -488,7 +525,8 @@ def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> b
     The same walk as exact_allowed, keeping only items whose order agrees
     with the pattern's prefix and stopping at the first item of full
     depth, so single patterns stay cheap even at horizons where the full
-    refinement would be enormous.
+    refinement would be enormous.  Items are split only by the pieces on
+    the side of the diagonal the pattern asks.
     """
     pi = check_perm(pattern)
     depth = len(pi) - 1

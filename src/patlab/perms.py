@@ -142,7 +142,8 @@ def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list
 
 
 def _expander(by_len: dict[int, set[Perm]], n: int):
-    """Return expand(layer, depth), which yields (state, moves) for each state of a depth.
+    """Return expand(layer, depth), which yields (state, moves) for each state
+    of a depth whose row (see _row) is not empty, moves built as drawn.
 
     The state after `depth` placed values is the tail: the ranks (from 0),
     among the tail values and the n - depth unused ones, of the longest
@@ -154,7 +155,13 @@ def _expander(by_len: dict[int, set[Perm]], n: int):
     prefixes = {reduce_values(p[:k]) for forb in by_len.values() for p in forb for k in range(1, len(p))}
     rows: dict[Perm, list] = {}
 
-    def expand(layer: Iterable[Perm], depth: int) -> Iterator[tuple[Perm, list]]:
+    def moves(tail: Perm, cuts: list[int], row: list) -> Iterator[tuple[int, Perm]]:
+        for r, d, adj, shift in row:
+            base = tuple(map(operator.sub, tail[d:], adj))
+            for q in range(cuts[r] + 1, cuts[r + 1]):
+                yield q - r, base + (q - shift,)
+
+    def expand(layer: Iterable[Perm], depth: int) -> Iterator[tuple[Perm, Iterator]]:
         unused = n - depth
         for tail in layer:
             cuts = sorted(tail)
@@ -162,12 +169,8 @@ def _expander(by_len: dict[int, set[Perm]], n: int):
             row = rows.get(order)
             if row is None:
                 row = rows[order] = _row(order, by_len, prefixes)
-            cuts = [-1, *cuts, len(tail) + unused]
-            out = []
-            for r, d, adj, shift in row:
-                base = tuple(map(operator.sub, tail[d:], adj))
-                out.extend((q - r, base + (q - shift,)) for q in range(cuts[r] + 1, cuts[r + 1]))
-            yield tail, out
+            if row:
+                yield tail, moves(tail, [-1, *cuts, len(tail) + unused], row)
 
     return expand
 
@@ -175,10 +178,11 @@ def _expander(by_len: dict[int, set[Perm]], n: int):
 def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
     """Yield the states of each depth 0..n, each with the number of ways to reach it.
 
-    The budget bounds the moves examined: each state at depth k is
-    charged one move per unused value, n - k, a whole depth at a time.
-    The first depth with no state is the last one yielded: no deeper
-    depth can hold one.
+    The budget bounds the moves examined: each state at depth k whose row
+    is not empty is charged one move per unused value, n - k, before its
+    first move is drawn; charges only add up, so it runs out at the same
+    depth as a whole-depth charge would.  The first depth with no state is
+    the last one yielded: no deeper depth can hold one.
     """
     if node_budget < 1:
         raise BadParameter(f"the node budget must be positive, got {node_budget}")
@@ -186,14 +190,14 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
     counts: dict[Perm, int] = {(): 1}
     yield counts
     for depth in range(n):
-        remaining -= len(counts) * (n - depth)
-        if remaining < 0:
-            raise ResourceLimit(
-                f"avoider search exceeded the node budget of {node_budget}: "
-                f"{len(counts)} states at depth {depth} of {n}"
-            )
         nxt: dict[Perm, int] = {}
         for tail, out in expand(counts, depth):
+            remaining -= n - depth
+            if remaining < 0:
+                raise ResourceLimit(
+                    f"avoider search exceeded the node budget of {node_budget}: "
+                    f"{len(counts)} states at depth {depth} of {n}"
+                )
             c = counts[tail]
             for _, t in out:
                 nxt[t] = nxt.get(t, 0) + c

@@ -32,9 +32,10 @@ from patlab import (
     sawtooth,
     shortest_forbidden_length,
     tent,
+    witness,
 )
 from patlab import engine
-from patlab.engine import _cut, _place, walk
+from patlab.engine import _cut, _place, _scaled, _sides, walk
 
 F = Fraction
 
@@ -355,6 +356,24 @@ class TestIsRealized:
         counts = Counter(item[0] for item in walk(alt_sawtooth(ramps), ramps, ranks=ranks))
         assert [counts[k] for k in range(ramps + 1)] == expected
 
+    @pytest.mark.parametrize(
+        "ramps, calls", [(9, 2647), (11, 17979)], ids=["alt_sawtooth:9", "alt_sawtooth:11"]
+    )
+    def test_pruned_walk_cuts_only_parts_on_the_pattern_side(self, ramps, calls, monkeypatch):
+        """The witness splits each item only by the pieces on the side of the
+        diagonal its pattern asks for; _cut keeps the items pinned above."""
+        seen = []
+        real = engine._cut
+
+        def counting(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(engine, "_cut", counting)
+        assert not is_realized(alt_sawtooth(ramps), witness((ramps - 1) // 2))
+        assert len(seen) == calls
+        assert sum(part is not None for part in seen) == {9: 2392, 11: 16638}[ramps]
+
     def test_pruned_walk_refuses_past_the_budget(self):
         # depth first, depth 5 (552 items in all) passes 100 before depth 4 (192) does
         w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
@@ -363,6 +382,46 @@ class TestIsRealized:
             match=r"^refinement exceeded the cell budget of 100: 101 items at depth 5 of 9$",
         ):
             is_realized(alt_sawtooth(9), w, cell_budget=100)
+
+
+class TestSides:
+    """_sides on scaled pieces (lo, hi, lo_closed, hi_closed, s, c), where
+    f(X) = s * X / q + c: the part of each piece on each side of the diagonal,
+    moved one unit outward from a fixed point X* and clipped to the piece."""
+
+    def test_identity_is_on_neither_side(self):
+        assert _sides([(0, 4, True, True, 4, 0)], 4) == ([], [])
+
+    def test_slope_one_goes_by_its_intercept(self):
+        up, down = (1, 2, False, True, 4, 1), (2, 3, True, True, 4, -1)
+        assert _sides([up, down], 4) == ([down], [up])
+
+    def test_point_piece_goes_by_its_value(self):
+        up, down, fixed = ((2, 2, True, True, 0, c) for c in (3, 1, 2))
+        assert _sides([up, down, fixed], 4) == ([down], [up])
+
+    def test_fixed_point_at_a_piece_end(self):
+        # tent's left ramp fixes 0, its lo; sawtooth:2's right ramp fixes 1, its open hi
+        q, (left, right) = _scaled(tent(), 1)
+        assert left == (0, 1, True, False, 4, 0) and _sides([left], q) == ([], [left])
+        q, (_, ramp, point) = _scaled(sawtooth(2), 1)
+        assert ramp == (1, 2, True, False, 4, -2) and _sides([ramp], q) == ([ramp], [])
+        assert _sides([point], q) == ([point], [])
+
+    def test_fixed_point_on_the_grid(self):
+        # f(x) = 2x - 3 on [0, 9], with q = 3: X* = 3, cut at 2 and at 4, closed
+        assert _sides([(0, 9, False, False, 6, -3)], 3) == (
+            [(0, 4, False, True, 6, -3)], [(2, 9, True, False, 6, -3)]
+        )
+
+    def test_fixed_point_off_the_grid(self):
+        # tent's right ramp fixes 2/3: X* = 4/3 at depth 1, where the cuts
+        # floor(X*) + 1 = 2 and ceil(X*) - 1 = 1 fall on its ends ...
+        q, (_, right) = _scaled(tent(), 1)
+        assert right == (1, 2, True, True, -4, 4) and _sides([right], q) == ([right], [right])
+        # ... and X* = 16/3 at depth 3, where both fall inside
+        q, (_, right) = _scaled(tent(), 3)
+        assert _sides([right], q) == ([(5, 8, True, True, -4, 16)], [(4, 6, True, True, -4, 16)])
 
 
 def neighbours(order, target):

@@ -301,12 +301,22 @@ class TestCli:
         assert run_cli(capsys, [])[0] == 2
 
     def test_empty_depth_ends_the_avoider_search(self, capsys):
-        # no state survives the pattern 1; depth 0 charges 10**20 moves, and
-        # no deeper depth is searched
+        # no state survives the pattern 1: depth 0 has no move, and no deeper
+        # depth is searched
         for command, result in (("count", 0), ("avoiders", {"n": 10**20, "patterns": []})):
             argv = [command, "--patterns", "1", "--n", str(10**20), "--node-budget", str(10**21)]
             code, out, _ = run_cli(capsys, argv)
             assert code == 0 and json.loads(out)["result"] == result
+
+    def test_a_state_with_no_move_costs_no_budget(self, capsys):
+        # depth 0 was charged n = 10**8 moves, past the default budget, though it has none
+        for command, result in (("count", 0), ("avoiders", {"n": 10**8, "patterns": []})):
+            code, out, _ = run_cli(capsys, [command, "--patterns", "1", "--n", str(10**8)])
+            assert code == 0 and json.loads(out)["result"] == result
+        # under 12 the one state of depth 0 has moves, so the same n is refused before they are built
+        code, out, err = run_cli(capsys, ["count", "--patterns", "12", "--n", str(10**8)])
+        assert code == 3 and out == ""
+        assert err.endswith("node budget of 50000000: 1 states at depth 0 of 100000000\n")
 
 
 class TestJsonReport:

@@ -224,7 +224,7 @@ class TestAvoiders:
         n = 4 * 10**7
         expand = _expander(_group_by_length([(1,)]), n)
         assert list(itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)) == [{(): 1}, {}]
-        # depth 0 charges its 10**20 moves; no deeper depth is reached
+        # depth 0 has no move to charge; no deeper depth is reached
         assert count_avoiders([(1,)], 10**20, node_budget=10**21) == 0
         assert len(avoiders([(1,)], 10**20, node_budget=10**21)) == 0
 
