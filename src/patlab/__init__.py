@@ -19,10 +19,8 @@ __version__ = "0.1.0"
 from .bounds import (
     AntichainLengthCheck,
     BoundReport,
-    ascent_components,
     basis_length_check,
     basis_obstruction,
-    descent_components,
     diagonal_region,
     in_witness_class,
     refined_piece_count,
@@ -90,14 +88,12 @@ __all__ = [
     "ValidationError",
     "all_perms",
     "alt_sawtooth",
-    "ascent_components",
     "avoiders",
     "basis_length_check",
     "basis_obstruction",
     "cap_pattern",
     "contains",
     "count_avoiders",
-    "descent_components",
     "diagonal_region",
     "exact_allowed",
     "exact_basic_forbidden",

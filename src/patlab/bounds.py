@@ -76,16 +76,6 @@ def diagonal_region(m: PwlMap, orientation: str = "below") -> tuple[Interval, ..
     return tuple(merged)
 
 
-def descent_components(m: PwlMap) -> int:
-    """Number of maximal intervals on which the map is strictly below the diagonal."""
-    return len(diagonal_region(m, "below"))
-
-
-def ascent_components(m: PwlMap) -> int:
-    """Number of maximal intervals on which the map is strictly above the diagonal."""
-    return len(diagonal_region(m, "above"))
-
-
 def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
     """Count monotone pieces that can carry an orbit across the diagonal.
 

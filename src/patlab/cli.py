@@ -30,7 +30,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .bounds import basis_length_check, basis_obstruction, shortest_bound
+from .bounds import METHODS, ORIENTATIONS, basis_length_check, basis_obstruction, shortest_bound
 from .engine import (
     DEFAULT_CELL_BUDGET,
     exact_allowed,
@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="geometric upper bound on the shortest forbidden length")
     p.set_defaults(handler=_cmd_bound)
     _add_map_flag(p)
-    p.add_argument("--method", choices=("simple", "refined"), default="simple")
-    p.add_argument("--orientation", choices=("below", "above"), default="below")
+    p.add_argument("--method", choices=METHODS, default="simple")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default="below")
     _add_output_flags(p)
 
     p = sub.add_parser("avoiders", help="permutations with no window matching any pattern")

@@ -14,18 +14,21 @@ map's pieces under its last iterate, then places the new iterate among
 the others.  The split runs inside the walk's own loop: it starts at the
 first piece the item's image reaches, found by bisection on the piece
 ends, and each part is placed as soon as it is split off, so no list of
-parts is built.
+parts is built.  Each part is nonempty: the scan keeps only pieces whose
+preimage meets the item, and a point piece is closed at both ends.
 
 One rule places the new iterate: it has rank r exactly where it lies
 strictly above the old iterate of rank r - 1 and strictly below that of
 rank r, two linear inequalities that cut a part straight to one segment
 or to none.  Within a part the old iterates never cross, so the new one
 crosses each at most once and its rank moves by one at every crossing.
-The full walk starts at the rank just right of the part's left end and
-cuts it by both inequalities.  Where a segment's upper end is a crossing
-strictly inside the part, the next segment starts there, open, one rank
-up or down; the inequality that crossing solved holds on it already, so
-only its other one is cut.  Each crossing is solved once, and the walk
+The full walk starts at the rank the new iterate takes just right of
+the part's left end, so there each inequality holds or ties, and inside
+the part it cuts only upper ends; only _cut, below, cuts a lower end
+inside a part.  Where a segment's upper end is a crossing strictly
+inside the part, the next segment starts there, open, one rank up or
+down; the inequality that crossing solved holds on it already, so only
+its other one is cut.  Each crossing is solved once, and the walk
 stops at the segment that reaches the part's right end.  A pattern fixes
 the order at each depth, and with it the new iterate's rank and its two
 neighbours, so a walk pruned by one (is_realized's) builds these once,
@@ -129,7 +132,8 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
                 f"refinement to depth {depth} needs the scale {q}**{depth}, "
                 f"which has more than {_MAX_DIGITS} digits"
             )
-    q, pieces = _scaled(m, depth)
+    # depth 0 splits nothing, and Q = 1 would truncate fractional piece ends
+    q, pieces = _scaled(m, depth) if depth else (1, [])
     whole = pieces, [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
     if ranks is not None:
@@ -180,9 +184,6 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             sln, sld, slc = (pln, den, pc_lo) if t > 0 else (ln, ld, lc if t else lc and pc_lo)
             t = phn * hd - hn * den
             shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
-            t = sln * shd - shn * sld
-            if t > 0 or t == 0 and not (slc and shc):
-                continue  # the part is empty
             fa, fb = s * a // q, s * b // q + c
             if ranks is None:
                 segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
@@ -287,40 +288,37 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
             return  # every later count equals this one
 
 
-def _rank_near(A, B, order, fa, fb, xn, xd) -> int:
-    """Rank of the new iterate just right of xn/xd."""
-    lo, hi = 0, len(order)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        j = order[mid]
-        da = fa - A[j]
-        d = da * xn + (fb - B[j]) * xd
-        if d > 0 or d == 0 and da > 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     """Cut a part into segments (lo, hi, flags, rank of the new iterate),
     one for each rank the new iterate takes on it, left to right.
 
     The new iterate has rank r exactly where it lies strictly above iterate
-    order[r - 1] and strictly below order[r]: two linear inequalities in x
-    that cut the part to one segment or none.  A cut strictly inside the
-    part becomes an open end at the crossing; a cut at an end of the part
-    opens that end, so a tie there is dropped.  The walk starts at the rank
-    just right of the left end.  Within a part the old iterates never cross,
-    so where a segment's upper end is cut strictly inside the part by
-    neighbour order[i], the new iterate crosses order[i] there and takes the
-    rank on order[i]'s other side.  The next segment starts open at that crossing;
-    its inequality with order[i] holds there already, so only its other
-    neighbour is cut.  The walk stops at the segment that reaches the
-    part's right end, or at an empty first cut (a point part that ties,
-    or a new iterate equal to an old one on the whole part).
+    order[r - 1] and strictly below order[r]: two linear inequalities in x.
+    The walk starts at the rank the new iterate takes just right of the
+    left end (a bisection over the order, the slope breaking a tie), so at
+    the left end each inequality holds, or is an equality that holds just
+    right of it (that end is opened, and a point part is dropped), or is an
+    equality on the whole part (the new iterate equals an old one, and the
+    part is dropped).  No lower end is cut inside the part; only _cut does
+    that.  Within a part the old iterates never cross, so where a segment's
+    upper end is cut strictly inside the part by neighbour order[i], the
+    new iterate crosses order[i] there and takes the rank on order[i]'s
+    other side.  The next segment starts open at that crossing; its
+    inequality with order[i] holds there already, and the other one holds
+    strictly there, since the old iterates are distinct inside the part, so
+    it can only cut the upper end.  The walk stops at the segment that
+    reaches the part's right end.
     """
-    r = _rank_near(A, B, order, fa, fb, ln, ld)
+    r, top = 0, len(order)
+    while r < top:
+        mid = (r + top) // 2
+        j = order[mid]
+        da = fa - A[j]
+        d = da * ln + (fb - B[j]) * ld
+        if d > 0 or d == 0 and da > 0:
+            r = mid + 1
+        else:
+            top = mid
     met = None  # the neighbour a carried crossing has already passed
     out = []
     while True:
@@ -332,23 +330,18 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
             j = order[i]
             # the new iterate is on the right side of j where da * x + db > 0
             da, db = sign * (fa - A[j]), sign * (fb - B[j])
-            if da > 0:  # x > -db / da
-                if -db * shd >= shn * da:
-                    return out
-                t = -db * ld - ln * da
-                if t > 0:
-                    ln, ld, lc = -db, da, False
-                elif t == 0:
+            if da > 0:  # x > -db / da, which holds just right of the left end
+                if -db * ld == ln * da:  # a tie at the left end
+                    if ln * hd == hn * ld:
+                        return out  # on a point part
                     lc = False
-            elif da < 0:  # x < db / -da
-                if db * ld <= -ln * da:
-                    return out
+            elif da < 0:  # x < db / -da, which holds at the left end
                 t = db * shd + shn * da
                 if t < 0:
                     shn, shd, shc, crossed = db, -da, False, i
                 elif t == 0:
                     shc = False
-            elif db <= 0:  # wrong side of j, or equal to it, on the whole part
+            elif db == 0:  # equal to j on the whole part
                 return out
         out.append((ln, ld, lc, shn, shd, shc, r))
         if crossed is None:
@@ -364,8 +357,12 @@ def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
 
     `cuts` holds the rank's neighbours as (iterate j, sign): the new
     iterate must lie above j where sign is +1 and below it where sign is
-    -1, the linear inequality sign * ((fa - A[j]) * x + fb - B[j]) > 0, cut
-    as _place cuts it.
+    -1, the linear inequality sign * ((fa - A[j]) * x + fb - B[j]) > 0.
+    The rank is the pattern's, not the one the new iterate takes at the
+    left end as in _place, so either end may be cut, inside the part or at
+    it: this is the only place a lower end is cut inside a part.  A cut
+    strictly inside becomes an open end at the crossing; a cut at an end
+    opens that end, so a tie there is dropped.
     """
     for j, sign in cuts:
         da, db = sign * (fa - A[j]), sign * (fb - B[j])

@@ -14,10 +14,10 @@ Piece defaults: ``lo_closed`` true, ``hi_closed`` false except when
 ``hi`` is 1 (the domain's right end must be owned by its last piece).
 
 Every form ends in one reader of spec dicts, which builds the canonical
-spec and the engines: ``pwl`` holds the exact map, if there is one, and
-``numeric`` the constructor of the float map that sampling uses.  Loading
-a spec does not import NumPy; calling ``numeric()`` does, so only the
-float path pays for it.
+spec and the exact engine: ``pwl`` holds the exact map, if there is one.
+The method ``numeric()`` builds the float map that sampling uses from the
+spec's type.  Loading a spec does not import NumPy; calling ``numeric()``
+does, so only the float path pays for it.
 ``logistic:4`` loads with an exact engine attached: its orbits are
 order-isomorphic to tent orbits, so pattern computations run on the tent
 map while sampling still uses the genuine logistic formula.
@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .errors import BadParameter, ParseError, UnknownMap, ValidationError
 from .pwl import PwlMap, PwlPiece, alt_sawtooth, rational, sawtooth, tent
@@ -69,12 +68,23 @@ class LoadedMap:
     label: str
     spec: dict
     pwl: PwlMap | None
-    numeric: Callable[[], NumericMap] = field(compare=False, repr=False)
     note: str | None = None
 
     @property
     def exact(self) -> bool:
         return self.pwl is not None
+
+    def numeric(self) -> NumericMap:
+        """The float engine: the formula of a logistic or one_minus_x_squared
+        spec, else the exact map evaluated in floats."""
+        from .numeric import NumericMap  # here, not at import: NumPy is for the float path only
+
+        kind = self.spec["type"]
+        if kind == "logistic":
+            return NumericMap.logistic(self.spec["r"])
+        if kind == "one_minus_x_squared":
+            return NumericMap.one_minus_x_squared()
+        return NumericMap.from_pwl(self.pwl)
 
     def require_exact(self) -> PwlMap:
         if self.pwl is None:
@@ -148,16 +158,6 @@ def _ramp_param(spec: dict) -> int:
     return value
 
 
-def _float_map(constructor: str, *args) -> NumericMap:
-    from .numeric import NumericMap  # here, not at import: NumPy is for the float path only
-
-    return getattr(NumericMap, constructor)(*args)
-
-
-def _exact_map(label: str, spec: dict, pwl: PwlMap, note: str | None = None) -> LoadedMap:
-    return LoadedMap(label, spec, pwl, partial(_float_map, "from_pwl", pwl), note)
-
-
 def _from_dict(spec: dict) -> LoadedMap:
     if not isinstance(spec, dict):
         raise ParseError("a map spec must be a JSON object")
@@ -165,15 +165,13 @@ def _from_dict(spec: dict) -> LoadedMap:
     if isinstance(kind, str) and kind in _SPEC_FIELDS:
         _reject_unknown(spec, {"type", *_SPEC_FIELDS[kind]}, f"a {kind} spec")
     if kind == "tent":
-        return _exact_map("tent", {"type": "tent"}, tent())
+        return LoadedMap("tent", {"type": "tent"}, tent())
     if kind in ("sawtooth", "alt_sawtooth"):
         n = _ramp_param(spec)
         build = sawtooth if kind == "sawtooth" else alt_sawtooth
-        return _exact_map(f"{kind}:{n}", {"type": kind, "N": n}, build(n))
+        return LoadedMap(f"{kind}:{n}", {"type": kind, "N": n}, build(n))
     if kind == "one_minus_x_squared":
-        return LoadedMap(
-            "one_minus_x_squared", {"type": kind}, None, partial(_float_map, kind)
-        )
+        return LoadedMap("one_minus_x_squared", {"type": kind}, None)
     if kind == "logistic":
         r = spec.get("r")
         if isinstance(r, bool) or not isinstance(r, (int, float)):
@@ -182,17 +180,16 @@ def _from_dict(spec: dict) -> LoadedMap:
             raise ValidationError("logistic parameter must satisfy 1 < r <= 4")
         r = float(r)
         canon = {"type": "logistic", "r": r}
-        numeric = partial(_float_map, "logistic", r)
         if r == 4.0:
-            return LoadedMap("logistic:4", canon, tent(), numeric, ISOMORPHISM_NOTE)
-        return LoadedMap(f"logistic:{r}", canon, None, numeric)
+            return LoadedMap("logistic:4", canon, tent(), ISOMORPHISM_NOTE)
+        return LoadedMap(f"logistic:{r}", canon, None)
     if kind == "pwl":
         raw = spec.get("pieces")
         if not isinstance(raw, list) or not raw:
             raise ParseError("field 'pieces' must be a nonempty list")
         pwl = PwlMap(tuple(_piece_from_dict(p) for p in raw))
         canon = {"type": "pwl", "pieces": [_piece_to_dict(p) for p in pwl.pieces]}
-        return _exact_map("pwl", canon, pwl)
+        return LoadedMap("pwl", canon, pwl)
     raise UnknownMap(f"unknown map type {kind!r}")
 
 

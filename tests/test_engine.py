@@ -424,6 +424,30 @@ class TestSides:
         assert _sides([right], q) == ([(5, 8, True, True, -4, 16)], [(4, 6, True, True, -4, 16)])
 
 
+class TestDepthZero:
+    """A walk to depth 0 splits nothing, so it scales no piece: at
+    Q = q**0 = 1 a fractional piece end would be truncated."""
+
+    @pytest.fixture(autouse=True)
+    def no_scale_at_depth_zero(self, monkeypatch):
+        real = engine._scaled
+
+        def scaled(m, depth):
+            if depth == 0:
+                raise AssertionError("the pieces were scaled at depth 0")
+            return real(m, depth)
+
+        monkeypatch.setattr(engine, "_scaled", scaled)
+
+    @pytest.mark.parametrize("ranks", [None, [0]], ids=["full", "pruned"])
+    def test_walk_is_the_root_item(self, ranks):
+        for m in (tent(), jagged(), point_and_jump()):
+            assert list(walk(m, 0, ranks=ranks)) == [(0, 0, 1, 1, 1, True, True, (1,), (0,), (0,))]
+
+    def test_a_length_one_pattern_is_realized(self):
+        assert is_realized(tent(), (1,))
+
+
 def neighbours(order, target):
     """The target rank's neighbours as _cut takes them: (iterate, +1) below
     the new iterate and (iterate, -1) above it."""

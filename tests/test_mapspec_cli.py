@@ -1,7 +1,9 @@
 """Map-spec ingestion, the command-line surface, and the on-disk cache."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -287,6 +289,49 @@ class TestCli:
         assert code == 0 and rows[:2] == ["field,value", "n,4"]
         assert any(row.startswith("first_missing_cap,") for row in rows)
         assert all(row.startswith("pattern,") for row in rows[2:-1])
+
+    def test_csv_of_a_list(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["check-basis", "--patterns", "132,231", "--m-max", "3", "--format", "csv"]
+        )
+        assert code == 0 and out.splitlines() == ["value", "1", "2", "3"]
+
+    def test_csv_of_a_list_of_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["verify", "--only", "09-single-length-budget", "--format", "csv"]
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[0] == ["name", "passed", "detail", "elapsed_s"]
+        assert len(rows) == 2 and rows[1][:2] == ["09-single-length-budget", "True"]
+
+    def test_csv_of_a_scalar(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["shortest", "--map", "sawtooth:3", "--n-max", "6", "--format", "csv"]
+        )
+        assert code == 0 and out.splitlines() == ["result", "5"]
+
+    def test_verify_one_check(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--only", "09-single-length-budget"])
+        assert code == 0
+        (row,) = json.loads(out)["result"]
+        assert set(row) == {"name", "passed", "detail", "elapsed_s"}
+        assert row["name"] == "09-single-length-budget" and row["passed"] is True
+        assert err.startswith("PASS 09-single-length-budget (")
+
+    def test_verify_unknown_check(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--only", "no-such-check"])
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["patlab: no checks match ['no-such-check']"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--patterns", ",", "--n", "3"], ["length-check", "--lengths", "3,x"]],
+        ids=["no-pattern", "not-an-integer"],
+    )
+    def test_bad_list_argument(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("patlab: --")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,6 @@ from patlab import (
     alt_sawtooth,
     avoiders,
     count_avoiders,
-    descent_components,
     diagonal_region,
     exact_allowed,
     exact_basic_forbidden,
@@ -42,6 +42,7 @@ from patlab import (
     tent,
     witness,
 )
+from patlab import engine
 from patlab.bounds import METHODS, ORIENTATIONS
 from patlab.engine import _cylinder_counts, _scaled, _sides, walk
 
@@ -260,7 +261,7 @@ def test_shortest_forbidden_length_is_within_the_bound(m):
 def test_simple_witness_of_the_below_count_is_forbidden(m):
     """With k components below the diagonal, witness(k, "simple") is not
     realized; for k = 0 its formula gives 21, forbidden since f(x) >= x."""
-    k = descent_components(m)
+    k = len(diagonal_region(m, "below"))
     assert not is_realized(m, witness(k, "simple") if k else (2, 1)), k
 
 
@@ -289,6 +290,33 @@ def bound_maps(draw):
         slope, y = draw(st.sampled_from([0, 4, -4])), draw(heights)
         pieces.append(PwlPiece(x, x, True, True, slope, y - slope * x))
     return PwlMap(tuple(pieces))
+
+
+@PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()), st.integers(1, 4), st.data())
+def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
+    """The split has no test for an empty part: its scan keeps only pieces
+    whose preimage meets the item, and a point piece is closed at both ends,
+    so each part it hands to _place (full walk) or _cut (pruned) is nonempty."""
+    parts = []
+
+    def spy(real):
+        def recording(*args):
+            parts.append(args[5:])  # both take the part as their last six arguments
+            return real(*args)
+        return recording
+
+    pattern = data.draw(st.permutations(range(1, depth + 2)))
+    ranks = [sum(pattern[i] < pattern[k] for i in range(k)) for k in range(depth + 1)]
+    with mock.patch.object(engine, "_place", spy(engine._place)), \
+            mock.patch.object(engine, "_cut", spy(engine._cut)):
+        for _ in walk(m, depth):
+            pass
+        for _ in walk(m, depth, ranks=ranks):
+            pass
+    assert parts
+    for ln, ld, lc, hn, hd, hc in parts:
+        assert ln * hd < hn * ld or ln * hd == hn * ld and lc and hc, (ln, ld, lc, hn, hd, hc)
 
 
 def cylinder_bounds(m, depth):

@@ -14,8 +14,6 @@ from patlab import (
     ResourceLimit,
     ValidationError,
     alt_sawtooth,
-    ascent_components,
-    descent_components,
     diagonal_region,
     refined_piece_count,
     sawtooth,
@@ -147,15 +145,15 @@ class TestDiagonalGeometry:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_sawtooth_descent_count(self, n):
-        assert descent_components(sawtooth(n)) == n - 1
+        assert len(diagonal_region(sawtooth(n), "below")) == n - 1
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_alt_sawtooth_descent_count(self, n):
-        assert descent_components(alt_sawtooth(n)) == (n - 1) // 2
+        assert len(diagonal_region(alt_sawtooth(n), "below")) == (n - 1) // 2
 
     def test_ascent_counts(self):
-        assert ascent_components(tent()) == 1
-        assert ascent_components(sawtooth(2)) == 1
+        assert len(diagonal_region(tent(), "above")) == 1
+        assert len(diagonal_region(sawtooth(2), "above")) == 1
 
     def test_refined_counts(self):
         assert refined_piece_count(tent(), "below") == 1
