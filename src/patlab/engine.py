@@ -40,6 +40,20 @@ points are ties and are dropped, and so is a tied endpoint.  A tie at
 depth k is a tie at every later depth, so nothing dropped could realize
 a longer pattern.
 
+Before its pruned walk, is_realized runs one greedy pass (_placeable)
+that refutes many patterns at once.  The pieces are disjoint intervals
+in order, so an orbit that realizes pi puts its points x_0 .. x_{n-2},
+sorted by value, in consecutive runs, one per piece from left to right.
+A run holds its points only on the side of the diagonal each asks (above
+where pi[i + 1] > pi[i]), keeps its successors' order on a rising piece
+and swaps it on a falling one, and switches between points below and
+above the diagonal only the way f(x) - x moves on its piece.  Every
+condition is on one point or two adjacent points of a run, so letting
+each piece take the longest run it can is exact: the pass fails only when
+no placement exists, and then the pattern is forbidden without a walk.
+It costs O(n + pieces) integer comparisons on the depth-1 scaled pieces;
+where it succeeds the walk decides.
+
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
 integers A_j, B_j, and every endpoint is a pair (num, den) with den > 0,
@@ -132,7 +146,7 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
                 f"refinement to depth {depth} needs the scale {q}**{depth}, "
                 f"which has more than {_MAX_DIGITS} digits"
             )
-    # depth 0 splits nothing, and Q = 1 would truncate fractional piece ends
+    # depth 0 splits nothing, and at Q = 1 fractional piece ends are no integers
     q, pieces = _scaled(m, depth) if depth else (1, [])
     whole = pieces, [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
@@ -214,12 +228,18 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
 def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
     """q, the least common denominator of the map's data, and the pieces as
     (lo, hi, lo_closed, hi_closed, slope, intercept) in integers: the
-    ends and the intercept times Q = q**depth, the slope times q."""
+    ends and the intercept times Q = q**depth, the slope times q.  Each
+    product is taken in integers, exact for depth >= 1, where every
+    denominator divides q and Q."""
     q = math.lcm(*(v.denominator for p in m.pieces for v in (p.lo, p.hi, p.slope, p.intercept)))
     scale = q**depth
+
+    def times(v, t):
+        return v.numerator * (t // v.denominator)
+
     return q, [
-        (int(p.lo * scale), int(p.hi * scale), p.lo_closed, p.hi_closed,
-         int(p.slope * q), int(p.intercept * scale))
+        (times(p.lo, scale), times(p.hi, scale), p.lo_closed, p.hi_closed,
+         times(p.slope, q), times(p.intercept, scale))
         for p in m.pieces
     ]
 
@@ -516,16 +536,65 @@ def shortest_forbidden_length(
     return None
 
 
+def _placeable(pieces, q, pi) -> bool:
+    """Whether the points x_0 .. x_{n-2} of an orbit with pattern pi, sorted
+    by value, can lie in consecutive runs, one per piece from left to right
+    (see the module docstring for why taking the longest run is exact).
+
+    x_{n-1} asks nothing of its piece.  Point i is up when pi[i + 1] > pi[i];
+    a piece holds an up point only if f(X) > X at one of its ends, a down
+    point only if f(X) < X there: the sign of (s - q) * X + c * q, as in
+    _sides.  Two points of one run need a piece of positive length, and
+    their successors keep their order on a rising piece and swap it on a
+    falling one.  f(X) - X is affine on a piece, so a run switches from
+    down to up points only where the slope is above 1 and from up to down
+    only where it is below 1.  q and `pieces` are as _scaled returns them.
+    """
+    points = sorted(range(len(pi) - 1), key=pi.__getitem__)
+    up = [pi[i + 1] > pi[i] for i in range(len(pi) - 1)]
+    p = 0
+    for lo, hi, _, _, s, c in pieces:
+        if p == len(points):
+            break
+        d, e = s - q, c * q
+        at_lo, at_hi = d * lo + e, d * hi + e
+        holds = (at_lo < 0 or at_hi < 0, at_lo > 0 or at_hi > 0)  # (down, up)
+        first = p
+        while p < len(points):
+            i = points[p]
+            if not holds[up[i]]:
+                break
+            if p > first:
+                j = points[p - 1]
+                if lo == hi or (pi[j + 1] < pi[i + 1]) != (s > 0):
+                    break
+                if up[i] != up[j] and up[i] != (d > 0):
+                    break
+            p += 1
+    return p == len(points)
+
+
 def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> bool:
     """Exact check whether one specific pattern is realized by the map.
 
-    The same walk as exact_allowed, keeping only items whose order agrees
-    with the pattern's prefix and stopping at the first item of full
-    depth, so single patterns stay cheap even at horizons where the full
-    refinement would be enormous.  Items are split only by the pieces on
-    the side of the diagonal the pattern asks.
+    First a greedy pass (_placeable) tries to place the pattern's points,
+    sorted by value, in consecutive runs on the map's pieces from left to
+    right, each run on the side of the diagonal its points ask and in the
+    order the piece's slope allows.  Any orbit that realizes the pattern
+    gives such a placement, since the pieces are disjoint intervals in
+    order, and the greedy pass finds one whenever one exists; where it
+    fails the pattern is forbidden and nothing is walked.  Otherwise the
+    answer comes from the same walk as exact_allowed, keeping only items
+    whose order agrees with the pattern's prefix and stopping at the first
+    item of full depth, so single patterns stay cheap even at horizons
+    where the full refinement would be enormous.  Items are split only by
+    the pieces on the side of the diagonal the pattern asks.
     """
     pi = check_perm(pattern)
+    _check_budget(cell_budget)
+    q, pieces = _scaled(m, 1)
+    if not _placeable(pieces, q, pi):
+        return False
     depth = len(pi) - 1
     ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(len(pi))]
     return any(item[0] == depth for item in walk(m, depth, cell_budget, ranks))

@@ -360,8 +360,8 @@ class TestIsRealized:
         "ramps, calls", [(9, 2647), (11, 17979)], ids=["alt_sawtooth:9", "alt_sawtooth:11"]
     )
     def test_pruned_walk_cuts_only_parts_on_the_pattern_side(self, ramps, calls, monkeypatch):
-        """The witness splits each item only by the pieces on the side of the
-        diagonal its pattern asks for; _cut keeps the items pinned above."""
+        """The witness's walk splits each item only by the pieces on the side
+        of the diagonal its pattern asks for; _cut keeps the items pinned above."""
         seen = []
         real = engine._cut
 
@@ -370,18 +370,62 @@ class TestIsRealized:
             return seen[-1]
 
         monkeypatch.setattr(engine, "_cut", counting)
-        assert not is_realized(alt_sawtooth(ramps), witness((ramps - 1) // 2))
+        w = witness((ramps - 1) // 2)
+        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
+        assert not any(item[0] == ramps for item in walk(alt_sawtooth(ramps), ramps, ranks=ranks))
         assert len(seen) == calls
         assert sum(part is not None for part in seen) == {9: 2392, 11: 16638}[ramps]
+
+    def test_witnesses_are_refuted_without_a_walk(self, monkeypatch):
+        """The greedy placement refutes witness(k) on alt_sawtooth:2k+1 up to
+        length 42, a horizon the walk alone could not reach."""
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(engine, "_walk", no_walk)
+        for k in range(1, 21):
+            assert not is_realized(alt_sawtooth(2 * k + 1), witness(k)), k
+
+    def test_budget_is_checked_before_the_placement(self):
+        with pytest.raises(BadParameter, match="cell budget must be positive"):
+            is_realized(alt_sawtooth(9), witness(4), cell_budget=0)
+
+    @pytest.mark.parametrize(
+        "m, w, expected",
+        [
+            (tent(), (1, 2, 5, 3, 4), False),
+            (tent(), (1, 5, 2, 4, 3), False),
+            (tent(), (5, 1, 4, 2, 3), False),
+            (sawtooth(3), (3, 2, 4, 1, 5), False),
+            (alt_sawtooth(9), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10), True),
+        ],
+        ids=["tent-12534", "tent-15243", "tent-51423", "sawtooth:3-32415", "alt_sawtooth:9-up"],
+    )
+    def test_patterns_the_placement_accepts_are_walked(self, m, w, expected, monkeypatch):
+        """These forbidden patterns can be placed in the pieces, so the walk
+        refutes them; the increasing pattern is realized."""
+        q, pieces = _scaled(m, 1)
+        assert engine._placeable(pieces, q, w)
+        walked = []
+        real = engine._walk
+
+        def spy(*args):
+            walked.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_walk", spy)
+        assert is_realized(m, w) is expected
+        assert walked == [len(w) - 1]
 
     def test_pruned_walk_refuses_past_the_budget(self):
         # depth first, depth 5 (552 items in all) passes 100 before depth 4 (192) does
         w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
+        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
         with pytest.raises(
             ResourceLimit,
             match=r"^refinement exceeded the cell budget of 100: 101 items at depth 5 of 9$",
         ):
-            is_realized(alt_sawtooth(9), w, cell_budget=100)
+            list(walk(alt_sawtooth(9), 9, cell_budget=100, ranks=ranks))
 
 
 class TestSides:

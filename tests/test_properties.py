@@ -319,6 +319,17 @@ def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
         assert ln * hd < hn * ld or ln * hd == hn * ld and lc and hc, (ln, ld, lc, hn, hd, hc)
 
 
+@PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()))
+def test_greedy_placement_accepts_every_allowed_pattern(m):
+    """is_realized answers False without a walk where _placeable fails, so
+    _placeable must accept every pattern an orbit realizes."""
+    q, pieces = _scaled(m, 1)
+    for n in range(1, 7):
+        for pi in exact_allowed(m, n):
+            assert engine._placeable(pieces, q, pi), pi
+
+
 def cylinder_bounds(m, depth):
     q, pieces = _scaled(m, depth)
     return list(islice(_cylinder_counts(pieces, q), depth))
