@@ -33,12 +33,9 @@ stops at the segment that reaches the part's right end.  A pattern fixes
 the order at each depth, and with it the new iterate's rank and its two
 neighbours, so a walk pruned by one (is_realized's) builds these once,
 before the first item; _cut cuts each part to that rank by the two
-inequalities as the part is split off.  It fixes whether iterate k + 1
-lies above iterate k too, so an item of depth k is split only by the
-parts of pieces on that side of the diagonal (_sides).  The crossing
-points are ties and are dropped, and so is a tied endpoint.  A tie at
-depth k is a tie at every later depth, so nothing dropped could realize
-a longer pattern.
+inequalities as the part is split off.  The crossing points are ties and
+are dropped, and so is a tied endpoint.  A tie at depth k is a tie at
+every later depth, so nothing dropped could realize a longer pattern.
 
 Before its pruned walk, is_realized runs one greedy pass (_placeable)
 that refutes many patterns at once.  The pieces are disjoint intervals
@@ -51,8 +48,9 @@ above the diagonal only the way f(x) - x moves on its piece.  Every
 condition is on one point or two adjacent points of a run, so letting
 each piece take the longest run it can is exact: the pass fails only when
 no placement exists, and then the pattern is forbidden without a walk.
-It costs O(n + pieces) integer comparisons on the depth-1 scaled pieces;
-where it succeeds the walk decides.
+It sorts the points and then makes O(n + pieces) integer comparisons on
+the depth-1 scaled pieces, O(n log n + pieces) in all; where it succeeds
+the walk decides.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -121,9 +119,8 @@ def walk(
     ranks[k] is where iterate k must sit among iterates 0..k.  The pattern
     fixes the order at each depth and the two iterates the new one must lie
     between, and each part is cut to that rank by _cut as it is split off
-    an item, which is split only by the parts of pieces on the side of the
-    diagonal the pattern asks (_sides); without `ranks`, _place cuts each
-    part into one segment per rank the new iterate takes on it.
+    an item; without `ranks`, _place cuts each part into one segment per
+    rank the new iterate takes on it.
     """
     return _walk(m, depth, cell_budget, ranks, [])
 
@@ -148,20 +145,16 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             )
     # depth 0 splits nothing, and at Q = 1 fractional piece ends are no integers
     q, pieces = _scaled(m, depth) if depth else (1, [])
-    whole = pieces, [p[0] for p in pieces], [p[1] for p in pieces]
+    los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
     if ranks is not None:
-        # the pattern fixes the order at each depth, the new iterate's
-        # neighbours there, (j, +1) below it and (j, -1) above it, and the
-        # side of the diagonal whose pieces split the items of depth k
-        below, above = ((side, [p[0] for p in side], [p[1] for p in side])
-                        for side in _sides(pieces, q))
-        orders, cuts, splits = [(0,)], [()], []
+        # the pattern fixes the order at each depth and the new iterate's
+        # neighbours there, (j, +1) below it and (j, -1) above it
+        orders, cuts = [(0,)], [()]
         for k in range(1, depth + 1):
             order, t = orders[-1], ranks[k]
             cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
                               if 0 <= i < len(order)))
-            splits.append(above if order.index(k - 1) < t else below)
             orders.append(order[:t] + (k,) + order[t:])
     created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
@@ -173,7 +166,6 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             continue
         k1 = k + 1
         a, b = A[k], B[k]
-        pieces, los, his = whole if ranks is None else splits[k]
         # split the item by the preimages of the pieces its last iterate a*x + b
         # lands in; they come left to right, so start at the first piece that
         # reaches the image of the left end and stop past the item (the pieces
@@ -242,34 +234,6 @@ def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
          times(p.slope, q), times(p.intercept, scale))
         for p in m.pieces
     ]
-
-
-def _sides(pieces, q) -> tuple[list[tuple], list[tuple]]:
-    """(below, above): the parts of scaled pieces where f(X) < X and > X.
-
-    f(X) - X has the sign of (s - q) * X + c * q, zero at X* = -c*q/(s - q),
-    so a part runs from X* to an end of its piece.  Its cut is moved one
-    unit outward, to ceil(X*) - 1 or floor(X*) + 1, closed and clipped to
-    the piece, so its ends stay integers.  The unit added is tied or on the
-    other side, and the rank cuts drop it with the same ends as on the
-    whole piece, since the new iterate's neighbours are on the wanted side
-    of the old one: the pruned walk keeps the same items.
-    """
-    below, above = [], []
-    for piece in pieces:
-        lo, hi, lc, hc, s, c = piece
-        d, e = s - q, c * q
-        for sign, side in ((-1, below), (1, above)):
-            at_lo, at_hi = sign * (d * lo + e), sign * (d * hi + e)
-            if at_lo > 0 and at_hi > 0:
-                side.append(piece)
-            elif at_hi > 0:  # on this side right of X*, lo <= X* < hi
-                cut = -(e // d) - 1
-                side.append((cut, hi, True, hc, s, c) if cut > lo else piece)
-            elif at_lo > 0:  # on this side left of X*, lo < X* <= hi
-                cut = -e // d + 1
-                side.append((lo, cut, lc, True, s, c) if cut < hi else piece)
-    return below, above
 
 
 def _check_budget(cell_budget: int) -> None:
@@ -543,12 +507,13 @@ def _placeable(pieces, q, pi) -> bool:
 
     x_{n-1} asks nothing of its piece.  Point i is up when pi[i + 1] > pi[i];
     a piece holds an up point only if f(X) > X at one of its ends, a down
-    point only if f(X) < X there: the sign of (s - q) * X + c * q, as in
-    _sides.  Two points of one run need a piece of positive length, and
-    their successors keep their order on a rising piece and swap it on a
-    falling one.  f(X) - X is affine on a piece, so a run switches from
-    down to up points only where the slope is above 1 and from up to down
-    only where it is below 1.  q and `pieces` are as _scaled returns them.
+    point only if f(X) < X there.  On a scaled piece f(X) = s * X / q + c,
+    so f(X) - X has the sign of (s - q) * X + c * q.  Two points of one run
+    need a piece of positive length, and their successors keep their order
+    on a rising piece and swap it on a falling one.  f(X) - X is affine on
+    a piece, so a run switches from down to up points only where the slope
+    is above 1 and from up to down only where it is below 1.  q and
+    `pieces` are as _scaled returns them.
     """
     points = sorted(range(len(pi) - 1), key=pi.__getitem__)
     up = [pi[i + 1] > pi[i] for i in range(len(pi) - 1)]
@@ -587,8 +552,7 @@ def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> b
     answer comes from the same walk as exact_allowed, keeping only items
     whose order agrees with the pattern's prefix and stopping at the first
     item of full depth, so single patterns stay cheap even at horizons
-    where the full refinement would be enormous.  Items are split only by
-    the pieces on the side of the diagonal the pattern asks.
+    where the full refinement would be enormous.
     """
     pi = check_perm(pattern)
     _check_budget(cell_budget)

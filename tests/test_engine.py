@@ -35,7 +35,7 @@ from patlab import (
     witness,
 )
 from patlab import engine
-from patlab.engine import _cut, _place, _scaled, _sides, walk
+from patlab.engine import _cut, _place, _scaled, walk
 
 F = Fraction
 
@@ -357,11 +357,38 @@ class TestIsRealized:
         assert [counts[k] for k in range(ramps + 1)] == expected
 
     @pytest.mark.parametrize(
-        "ramps, calls", [(9, 2647), (11, 17979)], ids=["alt_sawtooth:9", "alt_sawtooth:11"]
+        "m, x, w, expected",
+        [
+            (alt_sawtooth(5), F(1234, 10007),
+             (2, 7, 12, 5, 13, 8, 10, 1, 6, 15, 11, 3, 16, 14, 9, 4),
+             [1, 4, 8, 20, 28, 36, 44, 52, 60, 68, 76, 84, 16, 16, 16, 16]),
+            (tent(), None, (1, 2, 5, 3, 4), [1, 2, 2, 1, 0]),
+        ],
+        ids=["alt_sawtooth:5-orbit", "tent-12534"],
     )
-    def test_pruned_walk_cuts_only_parts_on_the_pattern_side(self, ramps, calls, monkeypatch):
-        """The witness's walk splits each item only by the pieces on the side
-        of the diagonal its pattern asks for; _cut keeps the items pinned above."""
+    def test_pruned_walk_items_per_depth_past_the_placement(self, m, x, w, expected):
+        """The pruned walk keeps these items on patterns the greedy placement
+        accepts, the only ones is_realized walks: the pattern of the exact
+        orbit of x, which the walk realizes, and one it refutes."""
+        if x is not None:
+            values = [x]
+            while len(values) < len(w):
+                values.append(m(values[-1]))
+            assert reduce_values(values) == w
+        q, pieces = _scaled(m, 1)
+        assert engine._placeable(pieces, q, w)
+        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
+        counts = Counter(item[0] for item in walk(m, len(w) - 1, ranks=ranks))
+        assert [counts[k] for k in range(len(w))] == expected
+        assert is_realized(m, w) is (x is not None)
+
+    @pytest.mark.parametrize(
+        "ramps, calls", [(9, 5461), (11, 38090)], ids=["alt_sawtooth:9", "alt_sawtooth:11"]
+    )
+    def test_pruned_walk_cuts_every_part_of_a_whole_piece(self, ramps, calls, monkeypatch):
+        """The witness's walk splits each item by whole pieces, as the full
+        walk does, and hands every part to _cut; _cut keeps the items pinned
+        above."""
         seen = []
         real = engine._cut
 
@@ -426,46 +453,6 @@ class TestIsRealized:
             match=r"^refinement exceeded the cell budget of 100: 101 items at depth 5 of 9$",
         ):
             list(walk(alt_sawtooth(9), 9, cell_budget=100, ranks=ranks))
-
-
-class TestSides:
-    """_sides on scaled pieces (lo, hi, lo_closed, hi_closed, s, c), where
-    f(X) = s * X / q + c: the part of each piece on each side of the diagonal,
-    moved one unit outward from a fixed point X* and clipped to the piece."""
-
-    def test_identity_is_on_neither_side(self):
-        assert _sides([(0, 4, True, True, 4, 0)], 4) == ([], [])
-
-    def test_slope_one_goes_by_its_intercept(self):
-        up, down = (1, 2, False, True, 4, 1), (2, 3, True, True, 4, -1)
-        assert _sides([up, down], 4) == ([down], [up])
-
-    def test_point_piece_goes_by_its_value(self):
-        up, down, fixed = ((2, 2, True, True, 0, c) for c in (3, 1, 2))
-        assert _sides([up, down, fixed], 4) == ([down], [up])
-
-    def test_fixed_point_at_a_piece_end(self):
-        # tent's left ramp fixes 0, its lo; sawtooth:2's right ramp fixes 1, its open hi
-        q, (left, right) = _scaled(tent(), 1)
-        assert left == (0, 1, True, False, 4, 0) and _sides([left], q) == ([], [left])
-        q, (_, ramp, point) = _scaled(sawtooth(2), 1)
-        assert ramp == (1, 2, True, False, 4, -2) and _sides([ramp], q) == ([ramp], [])
-        assert _sides([point], q) == ([point], [])
-
-    def test_fixed_point_on_the_grid(self):
-        # f(x) = 2x - 3 on [0, 9], with q = 3: X* = 3, cut at 2 and at 4, closed
-        assert _sides([(0, 9, False, False, 6, -3)], 3) == (
-            [(0, 4, False, True, 6, -3)], [(2, 9, True, False, 6, -3)]
-        )
-
-    def test_fixed_point_off_the_grid(self):
-        # tent's right ramp fixes 2/3: X* = 4/3 at depth 1, where the cuts
-        # floor(X*) + 1 = 2 and ceil(X*) - 1 = 1 fall on its ends ...
-        q, (_, right) = _scaled(tent(), 1)
-        assert right == (1, 2, True, True, -4, 4) and _sides([right], q) == ([right], [right])
-        # ... and X* = 16/3 at depth 3, where both fall inside
-        q, (_, right) = _scaled(tent(), 3)
-        assert _sides([right], q) == ([(5, 8, True, True, -4, 16)], [(4, 6, True, True, -4, 16)])
 
 
 class TestDepthZero:

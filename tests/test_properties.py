@@ -11,7 +11,6 @@ identity or an involution, which fully cover themselves and yet carry
 no item past the first depth.
 """
 
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -44,7 +43,7 @@ from patlab import (
 )
 from patlab import engine
 from patlab.bounds import METHODS, ORIENTATIONS
-from patlab.engine import _cylinder_counts, _scaled, _sides, walk
+from patlab.engine import _cylinder_counts, _scaled, walk
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -205,44 +204,6 @@ def test_refined_piece_count_matches_its_definition(m, orientation):
         xs = [*cuts, *((a + b) / 2 for a, b in zip(cuts, cuts[1:]))]
         count += any(past(p, x) for x in xs if p.interval.contains(x))
     assert refined_piece_count(m, orientation) == count
-
-
-@PROPERTY
-@given(pwl_maps(), st.integers(1, 3))
-def test_sides_cover_every_point_on_their_side(m, depth):
-    """Each side's entries are parts of distinct pieces, left to right, and
-    every point of a piece where f(X) > X (or < X) lies in an entry of the
-    above (or below) side, ends and flags included: checked at the grid
-    and half-grid points within 3 of a piece end or a fixed point, and
-    beside each fixed point."""
-    q, pieces = _scaled(m, depth)
-    sides = dict(zip((-1, 1), _sides(pieces, q)))
-    for entries in sides.values():
-        owners = [next(p for p in pieces if p[4:] == e[4:] and p[0] <= e[0] <= e[1] <= p[1])
-                  for e in entries]
-        assert all(pieces.index(a) < pieces.index(b) for a, b in zip(owners, owners[1:]))
-        for e, p in zip(entries, owners):
-            assert e[2] <= p[2] or e[0] > p[0]
-            assert e[3] <= p[3] or e[1] < p[1]
-
-    def contains(piece, x):
-        lo, hi, lc, hc = piece[:4]
-        return lo < x < hi or x == lo and lc or x == hi and hc
-
-    marks, points = {x for p in pieces for x in p[:2]}, set()
-    for _, _, _, _, s, c in pieces:
-        if s != q:
-            fixed = F(-c * q, s - q)
-            marks.add(fixed)
-            points |= {fixed - F(1, 1000), fixed + F(1, 1000)}
-    points |= {F(2 * math.floor(x) + i, 2) for x in marks for i in range(-6, 9)}
-    for x in points:
-        for piece in pieces:
-            if contains(piece, x):
-                _, _, _, _, s, c = piece
-                side = (F(s, q) * x + c > x) - (F(s, q) * x + c < x)
-                if side:
-                    assert any(contains(e, x) for e in sides[side]), (x, side)
 
 
 @PROPERTY
