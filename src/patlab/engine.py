@@ -49,8 +49,8 @@ condition is on one point or two adjacent points of a run, so letting
 each piece take the longest run it can is exact: the pass fails only when
 no placement exists, and then the pattern is forbidden without a walk.
 It sorts the points and then makes O(n + pieces) integer comparisons on
-the depth-1 scaled pieces, O(n log n + pieces) in all; where it succeeds
-the walk decides.
+the pieces scaled for the walk, O(n log n + pieces) in all; where it
+succeeds the walk decides, on the same scaled pieces.
 
 Arithmetic is integer only: with q the least common denominator of the
 map's data and Q = q**depth, iterate j at x is (A_j * x + B_j) / Q for
@@ -58,8 +58,9 @@ integers A_j, B_j, and every endpoint is a pair (num, den) with den > 0,
 compared by cross-multiplication.
 
 The budget counts the items created at one depth (every segment between
-crossings is an item), so it bounds the time spent at the widest level.
-A full walk checks it before the first item as well: the itineraries
+crossings is an item, and the last depth of the walk behind the exact
+queries counts the segments its rank ranges span, though it makes none),
+so it bounds the time spent at the widest level.  A full walk checks it before the first item as well: the itineraries
 through pieces of slope above 1 in absolute value, each piece's image
 covering the next, have cylinders of positive length, and each such
 cylinder holds at least one item of its depth.  That count is N**k for
@@ -71,25 +72,38 @@ digits, the limit pwl puts on map data, so a huge depth on a map with no
 expanding piece and q > 1 is refused at once too.  exact_forbidden also
 counts its n! candidates against the budget.
 
-One walk serves every exact query on a map.  The module keeps one entry
-in process, the most recent full walk: the map, its depth, the items made
-at each depth and the rank words of the items at every depth it reached.
+One walk serves every exact query on a map, and at its last depth it
+makes no items.  For each order of the items one depth up it records one
+bitmask of the ranks the new iterate takes on their parts.  Within a part
+the old iterates never cross, so those ranks are one range, and two
+bisections find its ends (_span): the rank just right of the part's left
+end, as _place starts, and the rank just left of its right end, the slope
+breaking a tie the other way.  At every other depth the range is read
+off _place's first and last segment, so each order above the last depth
+gets its mask too.  An item's rank word is its parent's word with the
+values from v = r + 1 up raised by one, then v, where r is its new
+iterate's rank; so level 0 is the word (1,) and each level's words are
+the words of the one before glued to the last values of their masks.
+The module keeps one entry in process, the most recent full walk: the
+map, its depth, the items made at each depth and, at every depth it
+reached, each rank word with the mask of its children's last values.
 exact_allowed, exact_forbidden, exact_basic_forbidden and each step of
 shortest_forbidden_length read their depth from it when the map compares
 equal, the depth is at most the walk's and no depth up to it made more
 items than the caller's budget.  Any other call frees the entry and
-walks.  is_realized's pruned walk neither reads nor keeps it.
+walks.  is_realized's pruned walk neither reads nor keeps it, and the
+public walk still yields every item of every depth.
 
 Basic forbidden sets are generated by gluing: every candidate at length n
-is an allowed (n-1)-pattern alpha extended by one final value v, which
-bounds the candidate pool by n * |allowed(n-1)| instead of n!.  The
-allowed (n-1)-patterns are the words of depth n - 2 of the same walk.
-One index over them maps each reduced (n-2)-prefix to a bitmask of the
-last values that extend it to an allowed (n-1)-pattern.  All n candidates
-of alpha share the reduced prefix of their right window, so one lookup
-per alpha and one bit per candidate tell whether the right window is
-allowed; only those candidates are built and looked up among the allowed
-n-patterns.
+is an allowed (n-1)-pattern alpha, a word of level n - 2, extended by one
+final value v, which bounds the candidate pool by n * |allowed(n-1)|
+instead of n!.  The candidate is allowed exactly where v is a bit of
+alpha's mask.  Its right window is alpha's reduced right window, a word
+of level n - 3, extended by v, less one if v > alpha[0].  So the mask of
+that word, with its bits from alpha[0] up moved up one, holds the v whose
+right window is allowed, and alpha's basic forbidden extensions are the
+bits of that mask that alpha's own mask lacks: one lookup and a few mask
+operations per alpha, and only the basic patterns are built.
 """
 
 from __future__ import annotations
@@ -122,29 +136,48 @@ def walk(
     an item; without `ranks`, _place cuts each part into one segment per
     rank the new iterate takes on it.
     """
-    return _walk(m, depth, cell_budget, ranks, [])
-
-
-def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) -> Iterator[tuple]:
-    """walk, counting in the empty list `created` the items made at each depth
-    it reaches."""
     _check_budget(cell_budget)
-    if ranks is None:
-        # the counts do not depend on the scale, so check them before Q is built
-        q, pieces = _scaled(m, 1)
-        for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
-            if bound > cell_budget:
-                raise ResourceLimit(
-                    f"refinement would exceed the cell budget of {cell_budget}: "
-                    f"at least {bound} items at depth {k} of {depth}"
-                )
-        if depth * math.log10(q) >= _MAX_DIGITS:  # q**depth has floor(depth * log10(q)) + 1 digits
+    scaled = _full_scaled(m, depth, cell_budget) if ranks is None else _scaled_to(m, depth)
+    yield from _walk(scaled, depth, cell_budget, ranks, [])
+
+
+def _full_scaled(m: PwlMap, depth: int, cell_budget: int) -> tuple[int, list[tuple]]:
+    """_scaled_to(m, depth), once a full walk to `depth` is known to fit:
+    its cylinder counts within cell_budget and its scale within _MAX_DIGITS."""
+    # the counts do not depend on the scale, so check them before Q is built
+    q, pieces = _scaled(m, 1)
+    for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
+        if bound > cell_budget:
             raise ResourceLimit(
-                f"refinement to depth {depth} needs the scale {q}**{depth}, "
-                f"which has more than {_MAX_DIGITS} digits"
+                f"refinement would exceed the cell budget of {cell_budget}: "
+                f"at least {bound} items at depth {k} of {depth}"
             )
-    # depth 0 splits nothing, and at Q = 1 fractional piece ends are no integers
-    q, pieces = _scaled(m, depth) if depth else (1, [])
+    if depth * math.log10(q) >= _MAX_DIGITS:  # q**depth has floor(depth * log10(q)) + 1 digits
+        raise ResourceLimit(
+            f"refinement to depth {depth} needs the scale {q}**{depth}, "
+            f"which has more than {_MAX_DIGITS} digits"
+        )
+    return _scaled_to(m, depth)
+
+
+def _scaled_to(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
+    """_scaled(m, depth) for a walk to `depth`: one to depth 0 splits
+    nothing, and at Q = 1 fractional piece ends are no integers."""
+    return _scaled(m, depth) if depth else (1, [])
+
+
+def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
+          masks: list[dict] | None = None) -> Iterator[tuple]:
+    """walk on the pieces `scaled` = (q, pieces) as _scaled_to(m, depth)
+    returns them, once the caller has checked cell_budget, counting in the
+    empty list `created` the items made at each depth it reaches.
+
+    With the empty list `masks`, a full walk also records in masks[k], for
+    each order of its items at depth k, the ranks r its new iterate takes
+    on their parts, as the bits r + 1 of a mask; at the last depth it then
+    makes no item, only these masks, by _span.
+    """
+    q, pieces = scaled
     los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
     if ranks is not None:
@@ -156,6 +189,7 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
                               if 0 <= i < len(order)))
             orders.append(order[:t] + (k,) + order[t:])
+    spanned = depth if masks is not None else -1  # the depth _span serves
     created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
@@ -192,14 +226,28 @@ def _walk(m: PwlMap, depth: int, cell_budget: int, ranks, created: list[int]) ->
             shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
             fa, fb = s * a // q, s * b // q + c
             if ranks is None:
-                segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
-                if not segments:
-                    continue
-                A1, B1 = A + (fa,), B + (fb,)
-                for nln, nld, nlc, nhn, nhd, nhc, r in segments:
-                    stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A1, B1,
-                                  order[:r] + (k1,) + order[r:]))
-                made = len(segments)
+                if k1 == spanned:
+                    span = _span(A, B, order, fa, fb, sln, sld, shn, shd)
+                    if span is None:
+                        continue
+                    r0, r1 = span
+                else:
+                    segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
+                    if not segments:
+                        continue
+                    A1, B1 = A + (fa,), B + (fb,)
+                    for nln, nld, nlc, nhn, nhd, nhc, r in segments:
+                        stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A1, B1,
+                                      order[:r] + (k1,) + order[r:]))
+                    r0, r1 = segments[0][-1], segments[-1][-1]
+                if r0 > r1:
+                    r0, r1 = r1, r0
+                made = r1 - r0 + 1  # the rank moves by one at each crossing
+                if masks is not None:
+                    if k == len(masks):
+                        masks.append({})
+                    ranked = masks[k]
+                    ranked[order] = ranked.get(order, 0) | (4 << r1) - (2 << r0)
             else:
                 part = _cut(A, B, fa, fb, cuts[k1], sln, sld, slc, shn, shd, shc)
                 if part is None:
@@ -272,6 +320,23 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
             return  # every later count equals this one
 
 
+def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
+    """The rank the new iterate fa*x + fb takes just right of x = xn / xd
+    (side +1) or just left of it (side -1): a bisection over the order,
+    the slope breaking a tie."""
+    r, top = 0, len(order)
+    while r < top:
+        mid = (r + top) // 2
+        j = order[mid]
+        da = fa - A[j]
+        d = da * xn + (fb - B[j]) * xd
+        if d > 0 or d == 0 and da * side > 0:
+            r = mid + 1
+        else:
+            top = mid
+    return r
+
+
 def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     """Cut a part into segments (lo, hi, flags, rank of the new iterate),
     one for each rank the new iterate takes on it, left to right.
@@ -293,16 +358,7 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
     it can only cut the upper end.  The walk stops at the segment that
     reaches the part's right end.
     """
-    r, top = 0, len(order)
-    while r < top:
-        mid = (r + top) // 2
-        j = order[mid]
-        da = fa - A[j]
-        d = da * ln + (fb - B[j]) * ld
-        if d > 0 or d == 0 and da > 0:
-            r = mid + 1
-        else:
-            top = mid
+    r = _rank_near(A, B, order, fa, fb, ln, ld, 1)
     met = None  # the neighbour a carried crossing has already passed
     out = []
     while True:
@@ -333,6 +389,28 @@ def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
         # carry the crossing: it is the next segment's open lower end
         ln, ld, lc, met = shn, shd, False, crossed
         r += 1 if crossed == r else -1
+
+
+def _span(A, B, order, fa, fb, ln, ld, hn, hd) -> tuple[int, int] | None:
+    """The ranks the new iterate fa*x + fb takes on a part just right of
+    its left end and just left of its right end, the ranks of the first
+    and the last segment _place would cut, or None where it would cut
+    none; only the part's ends are read, not its flags.
+
+    Within a part the old iterates never cross, so the new iterate's rank
+    is monotone there and it takes every rank between these two, both
+    found by _rank_near, the slope breaking a tie one way at the left end
+    and the other way at the right.  As in _place, the part is dropped
+    where the new iterate equals order[r] on all of it, and a point part
+    where it ties an old iterate there, which is where the two ranks part.
+    """
+    r = _rank_near(A, B, order, fa, fb, ln, ld, 1)
+    if r < len(order) and fa == A[order[r]] and fb == B[order[r]]:
+        return None
+    s = _rank_near(A, B, order, fa, fb, hn, hd, -1)
+    if r != s and ln * hd == hn * ld:
+        return None
+    return r, s
 
 
 def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
@@ -379,46 +457,65 @@ def _word(order) -> Perm:
     return tuple(word)
 
 
+def _glued(alpha: Perm, bits: int) -> Iterator[Perm]:
+    """alpha extended by each last value v of the mask `bits`: alpha with
+    its values from v up raised by one, then v."""
+    while bits:
+        low = bits & -bits
+        v = low.bit_length() - 1
+        yield tuple([e + (e >= v) for e in alpha]) + (v,)
+        bits ^= low
+
+
 class _Entry(NamedTuple):
     """What a later exact call needs of a full walk."""
 
     m: PwlMap
     depth: int
     created: list[int]  # items made at each depth the walk reached
-    levels: list[set[Perm]]  # levels[k]: the rank words of the items at depth k
+    # levels[k]: the rank words of the items at depth k, each with the mask
+    # of the last values its children at depth k + 1 take (0 at the last depth)
+    levels: list[dict[Perm, int]]
 
 
 _entry: _Entry | None = None  # the most recent full walk, see _level
+_ABOVE_ROOT: dict[Perm, int] = {(): 2}  # level -1: the empty word, whose one child is (1,)
 
 
-def _level(m: PwlMap, depth: int, cell_budget: int) -> set[Perm]:
-    """The rank words of the items at `depth` of m's full walk.
+def _level(m: PwlMap, depth: int, cell_budget: int) -> dict[Perm, int]:
+    """The rank words of the items at `depth` of m's full walk, each with
+    the mask of the last values its children take.
 
     The module keeps one entry, the most recent full walk with the words of
     every level it reached, and serves a call from it when the map compares
     equal, `depth` is at most the walk's and no depth up to `depth` made
     more items than cell_budget.  Any other call frees the entry and walks,
     so a smaller budget raises as a first walk would.  A depth the walk
-    never reached has no items.
+    never reached has no items.  Level 0 is the word (1,), and level k + 1
+    is each word of level k glued to each last value of its mask.
     """
     global _entry
     _check_budget(cell_budget)
     e = _entry
     if e is None or e.m != m or depth > e.depth or max(e.created[:depth + 1]) > cell_budget:
         _entry = None  # free the old entry before the walk
-        created, orders = [], []
-        for item in _walk(m, depth, cell_budget, None, created):
-            if item[0] == len(orders):
-                orders.append(set())
-            orders[item[0]].add(item[-1])
-        levels = []
-        for level in orders:
-            words = set()
-            while level:  # free each order as its word is made, to keep the peak low
-                words.add(_word(level.pop()))
-            levels.append(words)
+        created, masks = [], []
+        scaled = _full_scaled(m, depth, cell_budget)
+        for _ in _walk(scaled, depth, cell_budget, None, created, masks):
+            pass
+        level, levels = _ABOVE_ROOT, []
+        for ranked in [*masks, {}]:  # the orders of one depth, each with its mask
+            words = {}
+            while ranked:  # free each order as its word is made, to keep the peak low
+                order, bits = ranked.popitem()
+                words[_word(order)] = bits
+            for alpha, bits in level.items():
+                for w in _glued(alpha, bits):
+                    words.setdefault(w, 0)  # a word with no children
+            level = words
+            levels.append(level)
         e = _entry = _Entry(m, depth, created, levels)
-    return e.levels[depth] if depth < len(e.levels) else set()
+    return e.levels[depth] if depth < len(e.levels) else {}
 
 
 def exact_allowed(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> PatternSet:
@@ -456,35 +553,27 @@ def exact_basic_forbidden(
 ) -> PatternSet:
     """Forbidden length-n patterns whose two length-(n-1) windows are both allowed.
 
-    The allowed (n-1)-patterns are the words of the walk's level n - 2.
-    Each candidate is one of them, alpha, extended by a last value v; its
-    right window is allowed iff a bit of the right-window index is set, and
-    only then is the candidate built and looked up among the allowed.
+    Each candidate is an allowed (n-1)-pattern alpha, a word of the walk's
+    level n - 2, extended by a last value v.  Its left window is alpha, so
+    it is allowed exactly where v is a bit of alpha's mask.  Its right
+    window is alpha's reduced right window, a word of level n - 3,
+    extended by v, less one if v > alpha[0]; so that word's mask, with its
+    bits from alpha[0] up moved up one, holds the v whose right window is
+    allowed.  Only the candidates in that mask and not in alpha's are built.
     """
     if n < 2:
         raise BadParameter("basic forbidden patterns need n >= 2")
-    full = _level(m, n - 1, cell_budget)
+    _level(m, n - 1, cell_budget)  # an entry that reaches n - 1 masks level n - 2
     shorter = _level(m, n - 2, cell_budget)
-    # the right-window index: for each reduced prefix of an allowed (n-1)-pattern,
-    # the bits of the last values that extend it to one (reduced with no sort:
-    # close the gap the last value leaves)
-    last_values: dict[Perm, int] = {}
-    for beta in shorter:
-        u = beta[-1]
-        key = tuple(e - (e > u) for e in beta[:-1])
-        last_values[key] = last_values.get(key, 0) | 1 << u
+    windows = _level(m, n - 3, cell_budget) if n > 2 else _ABOVE_ROOT
     found: list[Perm] = []
-    for alpha in shorter:
+    for alpha, own in shorter.items():
         a0 = alpha[0]
-        # the reduced prefix that the right windows of all alpha's candidates share
-        mask = last_values.get(tuple(e - (e > a0) for e in alpha[1:]), 0)
-        for v in range(1, n + 1):
-            # the right window of pi = alpha + v ends in v, less one if above
-            # pi[0], which is a0 or a0 + 1, so exactly when v > a0
-            if mask >> (v - (v > a0)) & 1:
-                pi = tuple(e + (e >= v) for e in alpha) + (v,)
-                if pi not in full:
-                    found.append(pi)
+        right = windows.get(tuple(e - (e > a0) for e in alpha[1:]), 0)
+        # the right window of alpha + v ends in v, less one if above pi[0],
+        # which is a0 or a0 + 1, so exactly when v > a0
+        right = (right & (2 << a0) - 1) | (right >> a0 << a0 + 1)
+        found.extend(_glued(alpha, right & ~own))
     return PatternSet(n, tuple(sorted(found)))
 
 
@@ -513,7 +602,8 @@ def _placeable(pieces, q, pi) -> bool:
     on a rising piece and swap it on a falling one.  f(X) - X is affine on
     a piece, so a run switches from down to up points only where the slope
     is above 1 and from up to down only where it is below 1.  q and
-    `pieces` are as _scaled returns them.
+    `pieces` are as _scaled returns them at any depth: scaling by Q scales
+    X and c alike, and leaves lo == hi and every sign as it is.
     """
     points = sorted(range(len(pi) - 1), key=pi.__getitem__)
     up = [pi[i + 1] > pi[i] for i in range(len(pi) - 1)]
@@ -556,9 +646,20 @@ def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> b
     """
     pi = check_perm(pattern)
     _check_budget(cell_budget)
-    q, pieces = _scaled(m, 1)
+    depth = len(pi) - 1
+    q, pieces = _scaled_to(m, depth)
     if not _placeable(pieces, q, pi):
         return False
-    depth = len(pi) - 1
-    ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(len(pi))]
-    return any(item[0] == depth for item in walk(m, depth, cell_budget, ranks))
+    return any(item[0] == depth for item in _walk((q, pieces), depth, cell_budget, _ranks(pi), []))
+
+
+def _ranks(pi: Perm) -> list[int]:
+    """ranks[k]: how many of pi[0] .. pi[k - 1] lie below pi[k], by
+    insertion into a sorted list."""
+    seen: list[int] = []
+    ranks = []
+    for v in pi:
+        r = bisect.bisect(seen, v)
+        seen.insert(r, v)
+        ranks.append(r)
+    return ranks

@@ -35,7 +35,7 @@ from patlab import (
     witness,
 )
 from patlab import engine
-from patlab.engine import _cut, _place, _scaled, walk
+from patlab.engine import _cut, _place, _scaled, _span, walk
 
 F = Fraction
 
@@ -249,6 +249,18 @@ class TestKeptWalk:
         down = range(8, 0, -1)
         assert self.answers(make(), False, down) == self.answers(make(), True, down)
 
+    @maps
+    def test_levels_walk_makes_no_item_at_its_last_depth(self, make):
+        m = make()
+        exact_allowed(m, 6)
+        masks, created = [], []
+        items = Counter(item[0] for item in engine._walk(
+            engine._full_scaled(m, 5, 10**6), 5, 10**6, None, created, masks))
+        public = Counter(item[0] for item in walk(m, 5))
+        assert items[5] == 0 and all(items[k] == public[k] for k in range(5))
+        assert created == engine._entry.created
+        assert created[1:] == [public[k] for k in range(1, len(created))]
+
     def test_childless_items_count_as_allowed_windows(self):
         # 1 - x: x and f(x) realize 12 and 21, but f(f(x)) = x at every point
         assert len(exact_allowed(one_minus_x(), 3)) == 0
@@ -443,6 +455,29 @@ class TestIsRealized:
         monkeypatch.setattr(engine, "_walk", spy)
         assert is_realized(m, w) is expected
         assert walked == [len(w) - 1]
+
+    @pytest.mark.parametrize(
+        "m, w",
+        [(tent(), (1, 2, 5, 3, 4)), (tent(), (1, 2, 3, 5, 4)), (alt_sawtooth(9), witness(4)),
+         (tent(), (1,))],
+        ids=["walked-forbidden", "walked-allowed", "refuted-unwalked", "length-1"],
+    )
+    def test_scales_and_checks_the_budget_once(self, m, w, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("_scaled", "_check_budget"):
+            monkeypatch.setattr(engine, name, counted(name))
+        is_realized(m, w)
+        # a length-1 pattern walks to depth 0, which scales nothing
+        assert (calls["_scaled"], calls["_check_budget"]) == (len(w) > 1, 1)
 
     def test_pruned_walk_refuses_past_the_budget(self):
         # depth first, depth 5 (552 items in all) passes 100 before depth 4 (192) does
@@ -676,6 +711,60 @@ def test_cut_matches_the_placement_of_each_rank(placement):
     for target in range(len(order) + 1):
         cut, whole = placed(A, B, order, fa, fb, part, target)
         assert cut == whole, target
+
+
+def place_span(A, B, order, fa, fb, part):
+    """The ranks of _place's first and last segment, or None if it cuts none."""
+    ranks = [seg[-1] for seg in _place(A, B, order, fa, fb, *part)]
+    return (ranks[0], ranks[-1]) if ranks else None
+
+
+class TestSpan:
+    """_span, the ranks the last depth reads at a part's two ends, against
+    the ranks of _place's first and last segment.
+
+    The old iterates are the constants 1 < 2 < 3; parts are (lo_num,
+    lo_den, lo_closed, hi_num, hi_den, hi_closed).
+    """
+
+    A, B, order = (0, 0, 0), (1, 2, 3), (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "fa, fb, part, expected",
+        [
+            # 4x rises across all three, from rank 0 to the top rank 3
+            (4, 0, (0, 1, True, 1, 1, True), (0, 3)),
+            # 4 - 4x falls across all three
+            (-4, 4, (0, 1, True, 1, 1, True), (3, 0)),
+            # 4x ties 1 at the open left end 1/4 and 3 at the right end 3/4
+            (4, 0, (1, 4, False, 3, 4, True), (1, 2)),
+            # 4x rises across 1 only, on [0, 3/8]
+            (4, 0, (0, 1, True, 3, 8, True), (0, 1)),
+            # below every old iterate, or above every one: rank 0, the top rank
+            (1, 0, (0, 1, True, 1, 1, True), (0, 0)),
+            (0, 5, (0, 1, True, 1, 1, True), (3, 3)),
+            # equal to order[r] on the whole part
+            (0, 2, (0, 1, True, 1, 1, True), None),
+            # a point part that ties a neighbour, below it and above it
+            (4, 0, (1, 2, True, 1, 2, True), None),
+            (4, 0, (3, 4, True, 3, 4, True), None),
+            # a point part strictly between two
+            (4, 0, (3, 8, True, 3, 8, True), (1, 1)),
+        ],
+        ids=["rising-across", "falling-across", "ties-at-both-ends", "part-way",
+             "rank-0", "top-rank", "equal", "point-tie-below", "point-tie-above", "point"],
+    )
+    def test_rank_range(self, fa, fb, part, expected):
+        A, B, order = self.A, self.B, self.order
+        assert _span(A, B, order, fa, fb, part[0], part[1], part[3], part[4]) == expected
+        assert place_span(A, B, order, fa, fb, part) == expected
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(placements())
+    def test_matches_the_placement(self, placement):
+        A, B, order, fa, fb, (ln, ld, lc, hn, hd, hc) = placement
+        expected = place_span(A, B, order, fa, fb, (ln, ld, lc, hn, hd, hc))
+        assert _span(A, B, order, fa, fb, ln, ld, hn, hd) == expected
 
 
 class TestGenericMapProperties:

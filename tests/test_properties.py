@@ -12,7 +12,7 @@ no item past the first depth.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -43,7 +43,7 @@ from patlab import (
 )
 from patlab import engine
 from patlab.bounds import METHODS, ORIENTATIONS
-from patlab.engine import _cylinder_counts, _scaled, walk
+from patlab.engine import _cylinder_counts, _ranks, _scaled, _word, walk
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -278,6 +278,43 @@ def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
     assert parts
     for ln, ld, lc, hn, hd, hc in parts:
         assert ln * hd < hn * ld or ln * hd == hn * ld and lc and hc, (ln, ld, lc, hn, hd, hc)
+
+
+@PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()), st.integers(0, 4))
+def test_levels_are_the_rank_words_of_the_walks_items(m, depth):
+    """The walk behind _level makes no item at its last depth, and _level
+    glues each level from the masks of the one above; its words, their
+    masks and the items made at each depth must still be those of the
+    public walk's items."""
+    words, masks, counts = defaultdict(set), defaultdict(int), Counter()
+    for item in walk(m, depth):
+        k, order = item[0], item[-1]
+        words[k].add(_word(order))
+        counts[k] += 1
+        if k:  # the parent's word, and the last value of this item's word
+            parent = _word(tuple(j for j in order if j != k))
+            masks[parent] |= 1 << order.index(k) + 1
+    engine._entry = None
+    try:
+        engine._level(m, depth, 10**6)
+        entry = engine._entry
+        created = entry.created
+        assert created[0] == 0 and all(counts[k] == created[k] for k in range(1, len(created)))
+        assert not any(counts[k] for k in range(len(created), depth + 1))
+        for k in range(depth + 1):
+            level = engine._level(m, k, 10**6)
+            assert set(level) == words[k], k
+            assert all(bits == (masks[w] if k < depth else 0) for w, bits in level.items()), k
+        assert engine._entry is entry  # every level was served from the one walk
+    finally:
+        engine._entry = None
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_insertion_ranks_are_the_comparison_counts(pi):
+    assert _ranks(tuple(pi)) == [sum(pi[i] < pi[k] for i in range(k)) for k in range(len(pi))]
 
 
 @PROPERTY
