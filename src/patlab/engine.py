@@ -17,25 +17,25 @@ ends, and each part is placed as soon as it is split off, so no list of
 parts is built.  Each part is nonempty: the scan keeps only pieces whose
 preimage meets the item, and a point piece is closed at both ends.
 
-One rule places the new iterate: it has rank r exactly where it lies
-strictly above the old iterate of rank r - 1 and strictly below that of
-rank r, two linear inequalities that cut a part straight to one segment
-or to none.  Within a part the old iterates never cross, so the new one
-crosses each at most once and its rank moves by one at every crossing.
-The full walk starts at the rank the new iterate takes just right of
-the part's left end, so there each inequality holds or ties, and inside
-the part it cuts only upper ends; only _cut, below, cuts a lower end
-inside a part.  Where a segment's upper end is a crossing strictly
-inside the part, the next segment starts there, open, one rank up or
-down; the inequality that crossing solved holds on it already, so only
-its other one is cut.  Each crossing is solved once, and the walk
-stops at the segment that reaches the part's right end.  A pattern fixes
-the order at each depth, and with it the new iterate's rank and its two
-neighbours, so a walk pruned by one (is_realized's) builds these once,
-before the first item; _cut cuts each part to that rank by the two
-inequalities as the part is split off.  The crossing points are ties and
-are dropped, and so is a tied endpoint.  A tie at depth k is a tie at
-every later depth, so nothing dropped could realize a longer pattern.
+Two bisections over the old order find the ranks the new iterate takes
+on a part (_span): its rank just right of the part's left end and just
+left of its right end, the slope breaking a tie one way and then the
+other.  Within a part the old iterates never cross, so the new one
+crosses each at most once and its rank is monotone there: it takes every
+rank between those two, one up or down at each crossing.  _place writes
+one segment per rank, each but the last ending, open, at its crossing
+with the old iterate the new one passes next, strictly inside the part.
+A part is dropped where the new iterate equals an old one on all of it,
+and a point part where it ties an old one there; an end of a part is
+opened where the new iterate ties a neighbour of its rank there.  A
+pattern fixes the order at each depth, and with it the new iterate's
+rank and its two neighbours, so a walk pruned by one (is_realized's)
+builds these once, before the first item; _cut cuts each part to that
+rank, strictly above the neighbour below and strictly below the one
+above, two linear inequalities, as the part is split off.  The crossing
+points are ties and are dropped, and so is a tied endpoint.  A tie at
+depth k is a tie at every later depth, so nothing dropped could realize
+a longer pattern.
 
 Before its pruned walk, is_realized runs one greedy pass (_placeable)
 that refutes many patterns at once.  The pieces are disjoint intervals
@@ -60,29 +60,26 @@ compared by cross-multiplication.
 The budget counts the items created at one depth (every segment between
 crossings is an item, and the last depth of the walk behind the exact
 queries counts the segments its rank ranges span, though it makes none),
-so it bounds the time spent at the widest level.  A full walk checks it before the first item as well: the itineraries
-through pieces of slope above 1 in absolute value, each piece's image
-covering the next, have cylinders of positive length, and each such
-cylinder holds at least one item of its depth.  That count is N**k for
-sawtooth:N at depth k, so a walk too wide for the budget is refused at
-once instead of after the budget is spent.  The count does not depend on
-Q, so it runs before Q is built, and it stops once the counts repeat.
-A full walk then refuses a depth whose Q would have more than 4,300
-digits, the limit pwl puts on map data, so a huge depth on a map with no
-expanding piece and q > 1 is refused at once too.  exact_forbidden also
-counts its n! candidates against the budget.
+so it bounds the time spent at the widest level.  A full walk checks it
+before the first item as well: the itineraries through pieces of slope
+above 1 in absolute value, each piece's image covering the next, have
+cylinders of positive length, and each such cylinder holds at least one
+item of its depth.  That count is N**k for sawtooth:N at depth k, so a
+walk too wide for the budget is refused at once instead of after the
+budget is spent.  The count does not depend on Q, so it runs before Q is
+built, and it stops once the counts repeat.  A full walk then refuses a
+depth whose Q would have more than 4,300 digits, the limit pwl puts on
+map data, so a huge depth on a map with no expanding piece and q > 1 is
+refused at once too.  exact_forbidden also counts its n! candidates
+against the budget.
 
 One walk serves every exact query on a map, and at its last depth it
 makes no items.  For each order of the items one depth up it records one
-bitmask of the ranks the new iterate takes on their parts.  Within a part
-the old iterates never cross, so those ranks are one range, and two
-bisections find its ends (_span): the rank just right of the part's left
-end, as _place starts, and the rank just left of its right end, the slope
-breaking a tie the other way.  At every other depth the range is read
-off _place's first and last segment, so each order above the last depth
-gets its mask too.  An item's rank word is its parent's word with the
-values from v = r + 1 up raised by one, then v, where r is its new
-iterate's rank; so level 0 is the word (1,) and each level's words are
+bitmask of the ranks the new iterate takes on their parts, the ranges
+_span finds; every other depth records the same masks, and _place cuts
+each range there into items.  An item's rank word is its parent's word
+with the values from v = r + 1 up raised by one, then v, where r is its
+new iterate's rank; so level 0 is the word (1,) and each level's words are
 the words of the one before glued to the last values of their masks.
 The module keeps one entry in process, the most recent full walk: the
 map, its depth, the items made at each depth and, at every depth it
@@ -134,7 +131,7 @@ def walk(
     fixes the order at each depth and the two iterates the new one must lie
     between, and each part is cut to that rank by _cut as it is split off
     an item; without `ranks`, _place cuts each part into one segment per
-    rank the new iterate takes on it.
+    rank the new iterate takes on it, the ranks _span finds.
     """
     _check_budget(cell_budget)
     scaled = _full_scaled(m, depth, cell_budget) if ranks is None else _scaled_to(m, depth)
@@ -175,7 +172,7 @@ def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
     With the empty list `masks`, a full walk also records in masks[k], for
     each order of its items at depth k, the ranks r its new iterate takes
     on their parts, as the bits r + 1 of a mask; at the last depth it then
-    makes no item, only these masks, by _span.
+    makes no item, only these masks.
     """
     q, pieces = scaled
     los, his = [p[0] for p in pieces], [p[1] for p in pieces]
@@ -189,7 +186,7 @@ def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
             cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
                               if 0 <= i < len(order)))
             orders.append(order[:t] + (k,) + order[t:])
-    spanned = depth if masks is not None else -1  # the depth _span serves
+    bare = depth if masks is not None else -1  # the depth that makes no item
     created.append(0)
     stack = [(0, 0, 1, 1, 1, True, True, (scale,), (0,), (0,))]
     while stack:
@@ -226,20 +223,16 @@ def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
             shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
             fa, fb = s * a // q, s * b // q + c
             if ranks is None:
-                if k1 == spanned:
-                    span = _span(A, B, order, fa, fb, sln, sld, shn, shd)
-                    if span is None:
-                        continue
-                    r0, r1 = span
-                else:
-                    segments = _place(A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
-                    if not segments:
-                        continue
+                span = _span(A, B, order, fa, fb, sln, sld, shn, shd)
+                if span is None:
+                    continue
+                r0, r1 = span
+                if k1 != bare:
                     A1, B1 = A + (fa,), B + (fb,)
-                    for nln, nld, nlc, nhn, nhd, nhc, r in segments:
+                    for nln, nld, nlc, nhn, nhd, nhc, r in _place(
+                            A, B, order, fa, fb, r0, r1, sln, sld, slc, shn, shd, shc):
                         stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A1, B1,
                                       order[:r] + (k1,) + order[r:]))
-                    r0, r1 = segments[0][-1], segments[-1][-1]
                 if r0 > r1:
                     r0, r1 = r1, r0
                 made = r1 - r0 + 1  # the rank moves by one at each crossing
@@ -337,72 +330,18 @@ def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
     return r
 
 
-def _place(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> list[tuple]:
-    """Cut a part into segments (lo, hi, flags, rank of the new iterate),
-    one for each rank the new iterate takes on it, left to right.
-
-    The new iterate has rank r exactly where it lies strictly above iterate
-    order[r - 1] and strictly below order[r]: two linear inequalities in x.
-    The walk starts at the rank the new iterate takes just right of the
-    left end (a bisection over the order, the slope breaking a tie), so at
-    the left end each inequality holds, or is an equality that holds just
-    right of it (that end is opened, and a point part is dropped), or is an
-    equality on the whole part (the new iterate equals an old one, and the
-    part is dropped).  No lower end is cut inside the part; only _cut does
-    that.  Within a part the old iterates never cross, so where a segment's
-    upper end is cut strictly inside the part by neighbour order[i], the
-    new iterate crosses order[i] there and takes the rank on order[i]'s
-    other side.  The next segment starts open at that crossing; its
-    inequality with order[i] holds there already, and the other one holds
-    strictly there, since the old iterates are distinct inside the part, so
-    it can only cut the upper end.  The walk stops at the segment that
-    reaches the part's right end.
-    """
-    r = _rank_near(A, B, order, fa, fb, ln, ld, 1)
-    met = None  # the neighbour a carried crossing has already passed
-    out = []
-    while True:
-        shn, shd, shc = hn, hd, hc
-        crossed = None
-        for i, sign in ((r - 1, 1), (r, -1)):
-            if i == met or not 0 <= i < len(order):
-                continue  # the lowest or highest rank has one neighbour
-            j = order[i]
-            # the new iterate is on the right side of j where da * x + db > 0
-            da, db = sign * (fa - A[j]), sign * (fb - B[j])
-            if da > 0:  # x > -db / da, which holds just right of the left end
-                if -db * ld == ln * da:  # a tie at the left end
-                    if ln * hd == hn * ld:
-                        return out  # on a point part
-                    lc = False
-            elif da < 0:  # x < db / -da, which holds at the left end
-                t = db * shd + shn * da
-                if t < 0:
-                    shn, shd, shc, crossed = db, -da, False, i
-                elif t == 0:
-                    shc = False
-            elif db == 0:  # equal to j on the whole part
-                return out
-        out.append((ln, ld, lc, shn, shd, shc, r))
-        if crossed is None:
-            return out
-        # carry the crossing: it is the next segment's open lower end
-        ln, ld, lc, met = shn, shd, False, crossed
-        r += 1 if crossed == r else -1
-
-
 def _span(A, B, order, fa, fb, ln, ld, hn, hd) -> tuple[int, int] | None:
-    """The ranks the new iterate fa*x + fb takes on a part just right of
-    its left end and just left of its right end, the ranks of the first
-    and the last segment _place would cut, or None where it would cut
-    none; only the part's ends are read, not its flags.
+    """The ranks r and s the new iterate fa*x + fb takes on a part just
+    right of its left end and just left of its right end, or None where
+    the part holds no item; only the part's ends are read, not its flags.
 
     Within a part the old iterates never cross, so the new iterate's rank
-    is monotone there and it takes every rank between these two, both
-    found by _rank_near, the slope breaking a tie one way at the left end
-    and the other way at the right.  As in _place, the part is dropped
-    where the new iterate equals order[r] on all of it, and a point part
-    where it ties an old iterate there, which is where the two ranks part.
+    is monotone there and it takes every rank between r and s, both found
+    by _rank_near, the slope breaking a tie one way at the left end and
+    the other way at the right.  The part is dropped where the new iterate
+    equals order[r] on all of it (an old iterate it equals can only sit
+    there), and a point part where it ties an old iterate there, which is
+    where r and s part.
     """
     r = _rank_near(A, B, order, fa, fb, ln, ld, 1)
     if r < len(order) and fa == A[order[r]] and fb == B[order[r]]:
@@ -413,6 +352,35 @@ def _span(A, B, order, fa, fb, ln, ld, hn, hd) -> tuple[int, int] | None:
     return r, s
 
 
+def _place(A, B, order, fa, fb, r, s, ln, ld, lc, hn, hd, hc) -> list[tuple]:
+    """Cut a part into segments (lo, hi, flags, rank of the new iterate),
+    one for each rank from r to s, left to right, where (r, s) is the
+    part's _span.
+
+    The rank steps by one at each crossing of the new iterate with an old
+    one, order[r] where it rises and order[r - 1] where it falls; that
+    crossing lies strictly inside the part and ends the segment, open.
+    An end of the part is opened where the new iterate ties a neighbour
+    of its rank there; no other end is cut.
+    """
+    step = 1 if s > r else -1
+    lc = lc and not _ties(A, B, order, fa, fb, r, ln, ld)
+    out = []
+    while r != s:
+        j = order[r if step > 0 else r - 1]
+        xn, xd = step * (B[j] - fb), step * (fa - A[j])  # the crossing, xd > 0
+        out.append((ln, ld, lc, xn, xd, False, r))
+        ln, ld, lc, r = xn, xd, False, r + step
+    out.append((ln, ld, lc, hn, hd, hc and not _ties(A, B, order, fa, fb, s, hn, hd), s))
+    return out
+
+
+def _ties(A, B, order, fa, fb, r, xn, xd) -> bool:
+    """Whether the new iterate at x = xn / xd equals order[r - 1] or
+    order[r], the neighbours of rank r."""
+    return any((fa - A[j]) * xn + (fb - B[j]) * xd == 0 for j in order[max(r - 1, 0):r + 1])
+
+
 def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
     """Cut a part to where the new iterate fa*x + fb takes one rank, or None
     if it takes it nowhere; the part and the result are (lo, hi, flags).
@@ -420,11 +388,11 @@ def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
     `cuts` holds the rank's neighbours as (iterate j, sign): the new
     iterate must lie above j where sign is +1 and below it where sign is
     -1, the linear inequality sign * ((fa - A[j]) * x + fb - B[j]) > 0.
-    The rank is the pattern's, not the one the new iterate takes at the
-    left end as in _place, so either end may be cut, inside the part or at
-    it: this is the only place a lower end is cut inside a part.  A cut
-    strictly inside becomes an open end at the crossing; a cut at an end
-    opens that end, so a tie there is dropped.
+    The rank is the pattern's, not one _span finds for the full walk, so
+    either end may be cut, inside the part or at it: this is the only
+    place a lower end is cut inside a part.  A cut strictly inside becomes
+    an open end at the crossing; a cut at an end opens that end, so a tie
+    there is dropped.
     """
     for j, sign in cuts:
         da, db = sign * (fa - A[j]), sign * (fb - B[j])

@@ -96,6 +96,7 @@ class TestBudgetChecks:
         def no_part(*args, **kwargs):
             raise AssertionError("split an item although the walk is too wide for the budget")
 
+        monkeypatch.setattr("patlab.engine._span", no_part)
         monkeypatch.setattr("patlab.engine._place", no_part)
         monkeypatch.setattr("patlab.engine._cut", no_part)
         # sawtooth:4 has 4**11 = 4,194,304 cylinders at depth 11
@@ -521,9 +522,18 @@ def neighbours(order, target):
                  if 0 <= i < len(order))
 
 
+def place(A, B, order, fa, fb, part):
+    """_place's segments on a part, over the ranks _span finds there, as
+    the full walk cuts them; none where _span drops the part."""
+    ln, ld, _, hn, hd, _ = part
+    span = _span(A, B, order, fa, fb, ln, ld, hn, hd)
+    return [] if span is None else _place(A, B, order, fa, fb, *span, *part)
+
+
 def placed(A, B, order, fa, fb, part, target):
-    """A part cut to the target rank, and _place's segment of that rank."""
-    whole = [seg[:-1] for seg in _place(A, B, order, fa, fb, *part) if seg[-1] == target]
+    """A part cut to the target rank, and the full placement's segment of
+    that rank."""
+    whole = [seg[:-1] for seg in place(A, B, order, fa, fb, part) if seg[-1] == target]
     assert len(whole) <= 1
     return _cut(A, B, fa, fb, neighbours(order, target), *part), (whole[0] if whole else None)
 
@@ -587,9 +597,10 @@ class TestPlaceTarget:
 
 
 def place_rank_by_rank(A, B, order, fa, fb, ln, ld, lc, hn, hd, hc):
-    """The full placement with no crossing carried: every rank from r0, the
-    new iterate's rank just right of the left end, to r1, its rank just left
-    of the right end, each cut by both neighbour inequalities."""
+    """The full placement cut rank by rank: every rank from r0, the new
+    iterate's rank just right of the left end, to r1, its rank just left of
+    the right end, both found by a linear scan, each rank cut by both
+    neighbour inequalities."""
 
     def rank_near(xn, xd, side):
         # a linear scan: the old iterates below the new one just beside xn/xd
@@ -669,22 +680,22 @@ def placements(draw):
         j = draw(st.integers(0, len(lines) - 1))
         x, t = draw(st.sampled_from([lo, hi])), draw(st.integers(-3, 3))
         fa, fb = A[j] + t * x.denominator, B[j] - t * x.numerator
-    # ends as unreduced pairs, as carried crossings are
+    # ends as unreduced pairs, as crossings are
     k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     part = (lo.numerator * k, lo.denominator * k, lc, hi.numerator * l, hi.denominator * l, hc)
     return A, B, order, fa, fb, part
 
 
-class TestPlaceCarried:
-    """The full placement, carrying each crossing into the next segment,
-    against the same inequalities cut rank by rank."""
+class TestPlace:
+    """The full placement, _place over _span's ranks, stepping one rank at
+    each crossing, against the same inequalities cut rank by rank."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(placements())
     def test_matches_the_rank_by_rank_cut(self, placement):
         A, B, order, fa, fb, part = placement
         expected = place_rank_by_rank(A, B, order, fa, fb, *part)
-        assert _place(A, B, order, fa, fb, *part) == expected
+        assert place(A, B, order, fa, fb, part) == expected
 
     # old iterates x < x + 1 on [0, 1]
     @pytest.mark.parametrize(
@@ -700,7 +711,7 @@ class TestPlaceCarried:
     )
     def test_passes_three_ranks(self, fa, fb, expected):
         A, B, order, unit = (1, 1), (0, 1), (0, 1), (0, 1, True, 1, 1, True)
-        assert _place(A, B, order, fa, fb, *unit) == expected
+        assert place(A, B, order, fa, fb, unit) == expected
         assert place_rank_by_rank(A, B, order, fa, fb, *unit) == expected
 
 
@@ -714,14 +725,15 @@ def test_cut_matches_the_placement_of_each_rank(placement):
 
 
 def place_span(A, B, order, fa, fb, part):
-    """The ranks of _place's first and last segment, or None if it cuts none."""
-    ranks = [seg[-1] for seg in _place(A, B, order, fa, fb, *part)]
+    """The ranks of the first and last segment of the rank-by-rank cut, or
+    None if it cuts none."""
+    ranks = [seg[-1] for seg in place_rank_by_rank(A, B, order, fa, fb, *part)]
     return (ranks[0], ranks[-1]) if ranks else None
 
 
 class TestSpan:
-    """_span, the ranks the last depth reads at a part's two ends, against
-    the ranks of _place's first and last segment.
+    """_span, the ranks the full walk reads at a part's two ends, against
+    the first and last rank of the rank-by-rank cut.
 
     The old iterates are the constants 1 < 2 < 3; parts are (lo_num,
     lo_den, lo_closed, hi_num, hi_den, hi_closed).

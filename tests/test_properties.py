@@ -4,11 +4,12 @@ small rational PWL maps.
 The maps have two or three ramps on a grid of twelfths, with random
 ownership of every breakpoint (so jumps land on either side), and may
 carry a zero-length point piece at a breakpoint or at an end of [0, 1].
-Each property is checked against exact Fraction orbits or against
-another entry point of the engine.  The walk's lower bound on the items
-of each depth is checked on maps of quarters whose ramps may also be the
-identity or an involution, which fully cover themselves and yet carry
-no item past the first depth.
+Each property is checked against exact Fraction orbits, against the
+itinerary oracle of itineraries.py, which shares no code with the
+engine, or against another entry point of the engine.  The walk's lower
+bound on the items of each depth is checked on maps of quarters whose
+ramps may also be the identity or an involution, which fully cover
+themselves and yet carry no item past the first depth.
 """
 
 import random
@@ -44,6 +45,8 @@ from patlab import (
 from patlab import engine
 from patlab.bounds import METHODS, ORIENTATIONS
 from patlab.engine import _cylinder_counts, _ranks, _scaled, _word, walk
+
+from itineraries import itinerary_patterns
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -254,30 +257,57 @@ def bound_maps(draw):
 
 
 @PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()), st.integers(0, 5), st.data())
+def test_items_hold_their_order_at_their_closed_ends(m, depth, data):
+    """No item of the full or the pruned walk holds a point where two of its
+    iterates tie: at each closed end the Fraction orbit realizes the
+    item's order."""
+    pattern = tuple(data.draw(st.permutations(range(1, depth + 2))))
+    for ranks in (None, _ranks(pattern)):
+        for k, ln, ld, hn, hd, lc, hc, _, _, order in walk(m, depth, ranks=ranks):
+            for closed, x in ((lc, F(ln, ld)), (hc, F(hn, hd))):
+                if closed:
+                    values = orbit(m, x, k + 1)
+                    assert len(set(values)) == k + 1, (k, x)
+                    assert [values[j] for j in order] == sorted(values), (k, x)
+
+
+@PROPERTY
 @given(st.one_of(pwl_maps(), bound_maps()), st.integers(1, 4), st.data())
 def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
     """The split has no test for an empty part: its scan keeps only pieces
     whose preimage meets the item, and a point piece is closed at both ends,
-    so each part it hands to _place (full walk) or _cut (pruned) is nonempty."""
-    parts = []
+    so each part it hands to _span and _place (full walk) or _cut (pruned)
+    is nonempty.  _span reads only the part's ends, and it sees every part
+    of the full walk, also those it drops and those of the last depth of
+    the walk behind exact_allowed, which makes no item."""
+    parts, spans = [], []
 
-    def spy(real):
+    def spy(real, seen, width):
         def recording(*args):
-            parts.append(args[5:])  # both take the part as their last six arguments
+            seen.append(args[-width:])  # each takes the part as its last arguments
             return real(*args)
         return recording
 
     pattern = data.draw(st.permutations(range(1, depth + 2)))
     ranks = [sum(pattern[i] < pattern[k] for i in range(k)) for k in range(depth + 1)]
-    with mock.patch.object(engine, "_place", spy(engine._place)), \
-            mock.patch.object(engine, "_cut", spy(engine._cut)):
-        for _ in walk(m, depth):
-            pass
-        for _ in walk(m, depth, ranks=ranks):
-            pass
-    assert parts
+    engine._entry = None
+    try:
+        with mock.patch.object(engine, "_span", spy(engine._span, spans, 4)), \
+                mock.patch.object(engine, "_place", spy(engine._place, parts, 6)), \
+                mock.patch.object(engine, "_cut", spy(engine._cut, parts, 6)):
+            for _ in walk(m, depth):
+                pass
+            for _ in walk(m, depth, ranks=ranks):
+                pass
+            exact_allowed(m, depth + 1)
+    finally:
+        engine._entry = None
+    assert parts and spans
     for ln, ld, lc, hn, hd, hc in parts:
         assert ln * hd < hn * ld or ln * hd == hn * ld and lc and hc, (ln, ld, lc, hn, hd, hc)
+    for ln, ld, hn, hd in spans:
+        assert ln * hd <= hn * ld, (ln, ld, hn, hd)
 
 
 @PROPERTY
@@ -319,12 +349,37 @@ def test_insertion_ranks_are_the_comparison_counts(pi):
 
 @PROPERTY
 @given(st.one_of(pwl_maps(), bound_maps()))
+def test_allowed_sets_match_the_itinerary_oracle(m):
+    """exact_allowed and exact_basic_forbidden against the itinerary oracle,
+    which shares no code with the walk, and against its refilter."""
+    oracle = itinerary_patterns(m, 6)
+    for n in range(1, 7):
+        assert set(exact_allowed(m, n)) == oracle[n - 1], n
+    for n in range(2, 7):
+        shorter = oracle[n - 2]
+        basic = {p for p in all_perms(n) if p not in oracle[n - 1]
+                 and reduce_values(p[:-1]) in shorter and reduce_values(p[1:]) in shorter}
+        assert set(exact_basic_forbidden(m, n)) == basic, n
+
+
+@PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()))
+def test_is_realized_matches_the_itinerary_oracle(m):
+    oracle = itinerary_patterns(m, 5)
+    for n in range(1, 6):
+        for pi in all_perms(n):
+            assert is_realized(m, pi) == (pi in oracle[n - 1]), pi
+
+
+@PROPERTY
+@given(st.one_of(pwl_maps(), bound_maps()))
 def test_greedy_placement_accepts_every_allowed_pattern(m):
     """is_realized answers False without a walk where _placeable fails, so
-    _placeable must accept every pattern an orbit realizes."""
+    _placeable must accept every pattern an orbit realizes, here each one
+    the itinerary oracle finds."""
     q, pieces = _scaled(m, 1)
-    for n in range(1, 7):
-        for pi in exact_allowed(m, n):
+    for patterns in itinerary_patterns(m, 6):
+        for pi in patterns:
             assert engine._placeable(pieces, q, pi), pi
 
 
