@@ -9,15 +9,14 @@ whose windows reduce to a forbidden pattern, by a transfer-state table
 (Elizalde and Noy, Adv. Appl. Math. 2003).  Placing values one at a
 time, a state keeps only the ranks of the longest suffix of the placed
 values that reduces to a proper prefix of a forbidden pattern, among
-those values and the unused ones; many prefixes share a state.
-One forward pass sums the counts over the states of one depth at a
-time, and stops at the first depth with no state; `count_avoiders`
-keeps only the last depth.  `avoiders` keeps each depth's states and
-expands them again from the last depth back, keeping the moves into
-states that reach a full permutation and counting each kept state's
-completions.  It then picks a meeting depth, builds each live state's
-completions there once, and walks the prefixes down to that depth in
-ascending order, appending each prefix's completions.
+those values and the unused ones; many prefixes share a state.  Each
+depth's states are grouped by the order of their entries among
+themselves, which fixes their moves, so a pass over a depth looks up
+each order's moves once.  One forward pass sums the counts a depth at
+a time; `count_avoiders` keeps only the last depth.  `avoiders` keeps
+every depth, expands each again from the last one back to keep the
+moves into live states, and builds the words from each live state's
+completions at one meeting depth.
 
 >>> reduce_values([3, 4.2, -2, 1.7, 1])
 (4, 5, 1, 3, 2)
@@ -31,7 +30,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameter, DuplicateValue, ParseError, ResourceLimit
@@ -121,15 +120,18 @@ def _group_by_length(patterns: Iterable[Sequence[int]]) -> dict[int, set[Perm]]:
 
 
 def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list:
-    """Moves out of a tail whose entries rank `order` (from 0) among themselves.
+    """Moves out of the tails whose entries rank `order` (from 0) among themselves.
 
-    One entry (r, d, adj, shift) for each r such that a new value above
-    exactly r tail values completes no forbidden window.  The move keeps
-    the longest suffix of (tail, new value) that reduces to a proper
-    prefix of some forbidden pattern: the first d tail values are
-    dropped, and the kept ones and the new value lose adj and shift
-    ranks to the dropped values below them.
+    One entry (r, lo, hi, d, adj, shift, succ) for each r, ascending, such
+    that a new value above exactly r tail values completes no forbidden
+    window; it lies above the tail entry at position lo and below the one
+    at hi (None past either end).  The move keeps the longest suffix of
+    (tail, new value) that reduces to a proper prefix of some forbidden
+    pattern: the first d tail values are dropped (adj is None if d = 0),
+    the kept ones and the new value lose adj and shift ranks to the
+    dropped values below them, and the kept values rank succ by themselves.
     """
+    ends = [None, *sorted(range(len(order)), key=order.__getitem__), None]
     row = []
     for r in range(len(order) + 1):
         w = tuple(e + (e >= r) for e in order) + (r,)
@@ -137,46 +139,38 @@ def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list
             continue
         d = next(i for i in range(len(w)) if reduce_values(w[i:]) in prefixes)
         drop = order[:d]
-        row.append((r, d, tuple(sum(x < e for x in drop) for e in order[d:]), sum(x < r for x in drop)))
+        adj = tuple(sum(x < e for x in drop) for e in order[d:]) if d else None
+        succ = tuple(x - 1 for x in reduce_values(w[d:]))
+        row.append((r, ends[r], ends[r + 1], d, adj, sum(x < r for x in drop), succ))
     return row
 
 
 def _expander(by_len: dict[int, set[Perm]], n: int):
-    """Return expand(layer, depth), which yields (state, moves) for each state
-    of a depth whose row (see _row) is not empty, moves built as drawn.
+    """Return expand(layer, depth), which yields (group, row, top) for each
+    order group of a depth whose row (see _row) is not empty.
 
     The state after `depth` placed values is the tail: the ranks (from 0),
     among the tail values and the n - depth unused ones, of the longest
     suffix of the placed values that reduces to a proper prefix of a
-    forbidden pattern.  No window completed later can reach further back,
-    so the tail is all the future sees.  A move (j, next tail) places the
-    j-th smallest unused value (from 0); moves come in ascending j.
+    forbidden pattern; no window completed later can reach further back.
+    A layer maps each order to its group of tails.  A move (j, next tail)
+    places the j-th smallest unused value as the next tail's last entry,
+    q = j + r < top; moves come in ascending j.
     """
     prefixes = {reduce_values(p[:k]) for forb in by_len.values() for p in forb for k in range(1, len(p))}
-    rows: dict[Perm, list] = {}
+    row_of = cache(lambda order: _row(order, by_len, prefixes))
 
-    def moves(tail: Perm, cuts: list[int], row: list) -> Iterator[tuple[int, Perm]]:
-        for r, d, adj, shift in row:
-            base = tuple(map(operator.sub, tail[d:], adj))
-            for q in range(cuts[r] + 1, cuts[r + 1]):
-                yield q - r, base + (q - shift,)
-
-    def expand(layer: Iterable[Perm], depth: int) -> Iterator[tuple[Perm, Iterator]]:
-        unused = n - depth
-        for tail in layer:
-            cuts = sorted(tail)
-            order = tuple(map(cuts.index, tail))
-            row = rows.get(order)
-            if row is None:
-                row = rows[order] = _row(order, by_len, prefixes)
-            if row:
-                yield tail, moves(tail, [-1, *cuts, len(tail) + unused], row)
+    def expand(layer: dict[Perm, dict], depth: int) -> Iterator[tuple[dict, list, int]]:
+        for order, group in layer.items():
+            if row := row_of(order):
+                yield group, row, len(order) + n - depth
 
     return expand
 
 
-def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
-    """Yield the states of each depth 0..n, each with the number of ways to reach it.
+def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm, int]]]:
+    """Yield the states of each depth 0..n, grouped by order, each with the
+    number of ways to reach it.
 
     The budget bounds the moves examined: each state at depth k whose row
     is not empty is charged one move per unused value, n - k, before its
@@ -187,30 +181,32 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, int]]:
     if node_budget < 1:
         raise BadParameter(f"the node budget must be positive, got {node_budget}")
     remaining = node_budget
-    counts: dict[Perm, int] = {(): 1}
-    yield counts
+    layer: dict[Perm, dict[Perm, int]] = {(): {(): 1}}
+    yield layer
     for depth in range(n):
-        nxt: dict[Perm, int] = {}
-        for tail, out in expand(counts, depth):
-            remaining -= n - depth
+        nxt: dict[Perm, dict[Perm, int]] = {}
+        for group, row, top in expand(layer, depth):
+            remaining -= len(group) * (n - depth)
             if remaining < 0:
                 raise ResourceLimit(
                     f"avoider search exceeded the node budget of {node_budget}: "
-                    f"{len(counts)} states at depth {depth} of {n}"
+                    f"{sum(map(len, layer.values()))} states at depth {depth} of {n}"
                 )
-            c = counts[tail]
-            for _, t in out:
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-        yield counts
-        if not counts:
+            for _, lo, hi, d, adj, shift, succ in row:
+                out = nxt.setdefault(succ, {})
+                for tail, c in group.items():
+                    base = tuple(map(operator.sub, tail[d:], adj)) if adj else tail[d:]
+                    for q in range(0 if lo is None else tail[lo] + 1, top if hi is None else tail[hi]):
+                        t = base + (q - shift,)
+                        out[t] = out.get(t, 0) + c
+        layer = {succ: group for succ, group in nxt.items() if group}
+        yield layer
+        if not layer:
             return
 
 
 def avoiders(
-    patterns: Iterable[Sequence[int]],
-    n: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    patterns: Iterable[Sequence[int]], n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> "PatternSet":
     """All permutations of 1..n with no window reducing to a given pattern.
 
@@ -231,7 +227,7 @@ def avoiders(
         return PatternSet(n, tuple(all_perms(n)))
     expand = _expander(by_len, n)
     layers = list(_forward(expand, n, node_budget))
-    count = sum(layers[-1].values())
+    count = sum(sum(group.values()) for group in layers[-1].values())
     if count == 0:
         return PatternSet(n, ())
     if count * n > node_budget:
@@ -241,18 +237,24 @@ def avoiders(
         )
     # backward pass: expand each depth again, keeping only the moves into states
     # that reach depth n, and count each kept state's completions
-    ways = dict.fromkeys(layers.pop(), 1)
+    ways = dict.fromkeys(itertools.chain.from_iterable(layers.pop().values()), 1)
     tables: list[dict[Perm, list]] = [{} for _ in range(n)]
     prefixes = [0] * n  # live prefixes of each length
     completions = [0] * (n + 1)  # [k]: completions of the live states of depths k..n-1
     for depth in reversed(range(n)):
         layer, below, ways = layers.pop(), ways, {}
-        for tail, out in expand(layer, depth):
-            out = [move for move in out if move[1] in below]
-            if out:
-                tables[depth][tail] = out
-                ways[tail] = sum(below[t] for _, t in out)
-                prefixes[depth] += layer[tail]
+        for group, row, top in expand(layer, depth):
+            outs: dict[Perm, list] = {tail: [] for tail in group}
+            for r, lo, hi, d, adj, shift, _ in row:
+                for tail, out in outs.items():
+                    base = tuple(map(operator.sub, tail[d:], adj)) if adj else tail[d:]
+                    qs = range(0 if lo is None else tail[lo] + 1, top if hi is None else tail[hi])
+                    out += [(q - r, t) for q in qs if (t := base + (q - shift,)) in below]
+            for tail, out in outs.items():
+                if out:
+                    tables[depth][tail] = out
+                    ways[tail] = sum(below[t] for _, t in out)
+                    prefixes[depth] += group[tail]
         completions[depth] = completions[depth + 1] + sum(ways.values())
     # meet at the first depth k with the fewest live prefixes of lengths up to k
     # plus completions of depths k..n-1
@@ -285,9 +287,7 @@ def avoiders(
 
 
 def count_avoiders(
-    patterns: Iterable[Sequence[int]],
-    n: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    patterns: Iterable[Sequence[int]], n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """|avoiders(patterns, n)|, keeping the counts of one depth at a time."""
     if n < 1:
@@ -295,9 +295,9 @@ def count_avoiders(
     by_len = _group_by_length(patterns)
     if not by_len:
         return math.factorial(n)
-    for counts in _forward(_expander(by_len, n), n, node_budget):
+    for layer in _forward(_expander(by_len, n), n, node_budget):
         pass
-    return sum(counts.values())
+    return sum(sum(group.values()) for group in layer.values())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patlab import (
     BadParameter,
@@ -223,10 +225,52 @@ class TestAvoiders:
         # yield one more empty depth per unused value
         n = 4 * 10**7
         expand = _expander(_group_by_length([(1,)]), n)
-        assert list(itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)) == [{(): 1}, {}]
+        assert list(itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)) == [{(): {(): 1}}, {}]
         # depth 0 has no move to charge; no deeper depth is reached
         assert count_avoiders([(1,)], 10**20, node_budget=10**21) == 0
         assert len(avoiders([(1,)], 10**20, node_budget=10**21)) == 0
+
+    def test_states_per_depth(self):
+        # every depth's states are grouped by the order of their entries
+        patterns = [parse_perm(w) for w in TENT_BASIS_3_5.split(",")]
+        layers = list(_forward(_expander(_group_by_length(patterns), 10), 10, DEFAULT_NODE_BUDGET))
+        assert [sum(map(len, layer.values())) for layer in layers] == [
+            1, 10, 90, 600, 1470, 910, 525, 275, 125, 45, 10
+        ]
+        for layer in layers:
+            for order, group in layer.items():
+                assert all(tuple(map(sorted(tail).index, tail)) == order for tail in group)
+
+    @pytest.mark.parametrize(
+        "text, n, budget, states, depth",
+        [(TENT_BASIS_3_5, 10, 21610, 45, 9), ("132,231", 12, 2729, 5, 11), ("123", 9, 879, 5, 8)],
+    )
+    def test_smallest_admitted_budget(self, text, n, budget, states, depth):
+        # the moves charged sum to budget, the last of them at the last depth with a move
+        patterns = [parse_perm(w) for w in text.split(",")]
+        assert count_avoiders(patterns, n, node_budget=budget) == count_avoiders(patterns, n)
+        with pytest.raises(ResourceLimit) as info:
+            count_avoiders(patterns, n, node_budget=budget - 1)
+        assert str(info.value) == (
+            f"avoider search exceeded the node budget of {budget - 1}: "
+            f"{states} states at depth {depth} of {n}"
+        )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.integers(3, 6).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(4, 7),
+)
+def test_long_tails_match_brute_force(patterns, n):
+    """Patterns of up to 6 entries keep tails of up to 5 values, in several orders a depth."""
+    expected = brute_avoiders(patterns, n)
+    assert list(avoiders(patterns, n)) == expected
+    assert count_avoiders(patterns, n) == len(expected)
 
 
 def listing_and_meet(monkeypatch, patterns, n):
