@@ -118,7 +118,7 @@ DEFAULT_CELL_BUDGET = 4_000_000
 
 
 def walk(
-    m: PwlMap, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET, ranks=None
+    m: PwlMap, depth: int, cell_budget: int = DEFAULT_CELL_BUDGET, pattern=None
 ) -> Iterator[tuple]:
     """Yield every item of the refinement down to iterate `depth`, depth first.
 
@@ -126,21 +126,27 @@ def walk(
     A, B, order): iterate j is (A[j] * x + B[j]) / A[0] on it, and order
     lists the iterates 0..k from the smallest value up.  Items of one depth
     tile [0, 1] except for the points where two of their iterates tie.
-    With `ranks`, only items whose order agrees with a pattern are kept:
-    ranks[k] is where iterate k must sit among iterates 0..k.  The pattern
-    fixes the order at each depth and the two iterates the new one must lie
-    between, and each part is cut to that rank by _cut as it is split off
-    an item; without `ranks`, _place cuts each part into one segment per
-    rank the new iterate takes on it, the ranks _span finds.
+    With `pattern`, a permutation of 1..depth + 1, only items whose order
+    agrees with its prefix are kept.  The pattern fixes the order at each
+    depth and the two iterates the new one must lie between, and each part
+    is cut to that rank by _cut as it is split off an item; without
+    `pattern`, _place cuts each part into one segment per rank the new
+    iterate takes on it, the ranks _span finds.
     """
+    if depth < 0:
+        raise BadParameter(f"the depth must be at least 0, got {depth}")
     _check_budget(cell_budget)
-    scaled = _full_scaled(m, depth, cell_budget) if ranks is None else _scaled_to(m, depth)
-    yield from _walk(scaled, depth, cell_budget, ranks, [])
+    if pattern is not None:
+        pattern = check_perm(pattern)
+        if len(pattern) != depth + 1:
+            raise BadParameter(f"a walk to depth {depth} takes a length-{depth + 1} pattern")
+    scaled = _full_scaled(m, depth, cell_budget) if pattern is None else _scaled(m, depth)
+    yield from _walk(scaled, depth, cell_budget, pattern, [])
 
 
 def _full_scaled(m: PwlMap, depth: int, cell_budget: int) -> tuple[int, list[tuple]]:
-    """_scaled_to(m, depth), once a full walk to `depth` is known to fit:
-    its cylinder counts within cell_budget and its scale within _MAX_DIGITS."""
+    """_scaled(m, depth), once a full walk to `depth` is known to fit: its
+    cylinder counts within cell_budget and its scale within _MAX_DIGITS."""
     # the counts do not depend on the scale, so check them before Q is built
     q, pieces = _scaled(m, 1)
     for k, bound in zip(range(1, depth + 1), _cylinder_counts(pieces, q)):
@@ -154,20 +160,16 @@ def _full_scaled(m: PwlMap, depth: int, cell_budget: int) -> tuple[int, list[tup
             f"refinement to depth {depth} needs the scale {q}**{depth}, "
             f"which has more than {_MAX_DIGITS} digits"
         )
-    return _scaled_to(m, depth)
+    return _scaled(m, depth)
 
 
-def _scaled_to(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
-    """_scaled(m, depth) for a walk to `depth`: one to depth 0 splits
-    nothing, and at Q = 1 fractional piece ends are no integers."""
-    return _scaled(m, depth) if depth else (1, [])
-
-
-def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
+def _walk(scaled, depth: int, cell_budget: int, pattern, created: list[int],
           masks: list[dict] | None = None) -> Iterator[tuple]:
-    """walk on the pieces `scaled` = (q, pieces) as _scaled_to(m, depth)
-    returns them, once the caller has checked cell_budget, counting in the
-    empty list `created` the items made at each depth it reaches.
+    """walk on the pieces `scaled` = (q, pieces) as _scaled(m, depth)
+    returns them, (1, []) at depth 0, once the caller has checked
+    cell_budget and `pattern`, counting in the empty list `created` the
+    items made at each depth it reaches.  With `pattern`, the walk is
+    pruned to its prefix at each depth.
 
     With the empty list `masks`, a full walk also records in masks[k], for
     each order of its items at depth k, the ranks r its new iterate takes
@@ -177,12 +179,14 @@ def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
     q, pieces = scaled
     los, his = [p[0] for p in pieces], [p[1] for p in pieces]
     scale = q**depth
-    if ranks is not None:
+    if pattern is not None:
         # the pattern fixes the order at each depth and the new iterate's
-        # neighbours there, (j, +1) below it and (j, -1) above it
+        # neighbours there, (j, +1) below it and (j, -1) above it; its rank
+        # is where pattern[k] goes among the values of the order before it
         orders, cuts = [(0,)], [()]
         for k in range(1, depth + 1):
-            order, t = orders[-1], ranks[k]
+            order = orders[-1]
+            t = bisect.bisect(order, pattern[k], key=pattern.__getitem__)
             cuts.append(tuple((order[i], sign) for i, sign in ((t - 1, 1), (t, -1))
                               if 0 <= i < len(order)))
             orders.append(order[:t] + (k,) + order[t:])
@@ -222,7 +226,7 @@ def _walk(scaled, depth: int, cell_budget: int, ranks, created: list[int],
             t = phn * hd - hn * den
             shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
             fa, fb = s * a // q, s * b // q + c
-            if ranks is None:
+            if pattern is None:
                 span = _span(A, B, order, fa, fb, sln, sld, shn, shd)
                 if span is None:
                     continue
@@ -263,7 +267,10 @@ def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
     (lo, hi, lo_closed, hi_closed, slope, intercept) in integers: the
     ends and the intercept times Q = q**depth, the slope times q.  Each
     product is taken in integers, exact for depth >= 1, where every
-    denominator divides q and Q."""
+    denominator divides q and Q.  Depth 0 gives (1, []): a walk to depth 0
+    splits nothing, and at Q = 1 a fractional piece end is no integer."""
+    if depth == 0:
+        return 1, []
     q = math.lcm(*(v.denominator for p in m.pieces for v in (p.lo, p.hi, p.slope, p.intercept)))
     scale = q**depth
 
@@ -615,19 +622,7 @@ def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> b
     pi = check_perm(pattern)
     _check_budget(cell_budget)
     depth = len(pi) - 1
-    q, pieces = _scaled_to(m, depth)
+    q, pieces = _scaled(m, depth)
     if not _placeable(pieces, q, pi):
         return False
-    return any(item[0] == depth for item in _walk((q, pieces), depth, cell_budget, _ranks(pi), []))
-
-
-def _ranks(pi: Perm) -> list[int]:
-    """ranks[k]: how many of pi[0] .. pi[k - 1] lie below pi[k], by
-    insertion into a sorted list."""
-    seen: list[int] = []
-    ranks = []
-    for v in pi:
-        r = bisect.bisect(seen, v)
-        seen.insert(r, v)
-        ranks.append(r)
-    return ranks
+    return any(item[0] == depth for item in _walk((q, pieces), depth, cell_budget, pi, []))

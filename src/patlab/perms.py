@@ -168,6 +168,11 @@ def _expander(by_len: dict[int, set[Perm]], n: int):
     return expand
 
 
+def _check_node_budget(node_budget: int) -> None:
+    if node_budget < 1:
+        raise BadParameter(f"the node budget must be positive, got {node_budget}")
+
+
 def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm, int]]]:
     """Yield the states of each depth 0..n, grouped by order, each with the
     number of ways to reach it.
@@ -176,10 +181,9 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm,
     is not empty is charged one move per unused value, n - k, before its
     first move is drawn; charges only add up, so it runs out at the same
     depth as a whole-depth charge would.  The first depth with no state is
-    the last one yielded: no deeper depth can hold one.
+    the last one yielded: no deeper depth can hold one.  The caller has
+    checked that node_budget is positive.
     """
-    if node_budget < 1:
-        raise BadParameter(f"the node budget must be positive, got {node_budget}")
     remaining = node_budget
     layer: dict[Perm, dict[Perm, int]] = {(): {(): 1}}
     yield layer
@@ -218,12 +222,24 @@ def avoiders(
     makes the fewest live prefixes of lengths 1..k plus completions of
     the states of depths k..n - 1.  Every completion at a depth extends
     a live prefix to a distinct avoider, so each depth's completions
-    hold at most count * n entries too.
+    hold at most count * n entries too.  With no pattern every word
+    avoids, and its n! * n entries are charged the same way; the product
+    stops once it passes the budget, so a huge n is refused at once.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
+    _check_node_budget(node_budget)
     by_len = _group_by_length(patterns)
     if not by_len:
+        words = 1
+        for k in range(1, n + 1):
+            words *= k
+            if words * n > node_budget:
+                count = f"{words}" if k == n else f"more than {k}! = {words}"
+                raise ResourceLimit(
+                    f"avoider listing exceeded the node budget of {node_budget}: "
+                    f"{count} avoiders of length {n}"
+                )
         return PatternSet(n, tuple(all_perms(n)))
     expand = _expander(by_len, n)
     layers = list(_forward(expand, n, node_budget))
@@ -292,6 +308,7 @@ def count_avoiders(
     """|avoiders(patterns, n)|, keeping the counts of one depth at a time."""
     if n < 1:
         raise BadParameter("n must be at least 1")
+    _check_node_budget(node_budget)
     by_len = _group_by_length(patterns)
     if not by_len:
         return math.factorial(n)

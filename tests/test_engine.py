@@ -365,8 +365,7 @@ class TestIsRealized:
     def test_pruned_walk_items_per_depth(self, ramps, w, expected):
         """The pruned walk behind the alt_sawtooth witness keeps these items
         (2,393 for alt_sawtooth:9, 16,639 for alt_sawtooth:11)."""
-        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
-        counts = Counter(item[0] for item in walk(alt_sawtooth(ramps), ramps, ranks=ranks))
+        counts = Counter(item[0] for item in walk(alt_sawtooth(ramps), ramps, pattern=w))
         assert [counts[k] for k in range(ramps + 1)] == expected
 
     @pytest.mark.parametrize(
@@ -390,8 +389,7 @@ class TestIsRealized:
             assert reduce_values(values) == w
         q, pieces = _scaled(m, 1)
         assert engine._placeable(pieces, q, w)
-        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
-        counts = Counter(item[0] for item in walk(m, len(w) - 1, ranks=ranks))
+        counts = Counter(item[0] for item in walk(m, len(w) - 1, pattern=w))
         assert [counts[k] for k in range(len(w))] == expected
         assert is_realized(m, w) is (x is not None)
 
@@ -411,8 +409,7 @@ class TestIsRealized:
 
         monkeypatch.setattr(engine, "_cut", counting)
         w = witness((ramps - 1) // 2)
-        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
-        assert not any(item[0] == ramps for item in walk(alt_sawtooth(ramps), ramps, ranks=ranks))
+        assert not any(item[0] == ramps for item in walk(alt_sawtooth(ramps), ramps, pattern=w))
         assert len(seen) == calls
         assert sum(part is not None for part in seen) == {9: 2392, 11: 16638}[ramps]
 
@@ -477,42 +474,55 @@ class TestIsRealized:
         for name in ("_scaled", "_check_budget"):
             monkeypatch.setattr(engine, name, counted(name))
         is_realized(m, w)
-        # a length-1 pattern walks to depth 0, which scales nothing
-        assert (calls["_scaled"], calls["_check_budget"]) == (len(w) > 1, 1)
+        assert (calls["_scaled"], calls["_check_budget"]) == (1, 1)
 
     def test_pruned_walk_refuses_past_the_budget(self):
         # depth first, depth 5 (552 items in all) passes 100 before depth 4 (192) does
         w = (3, 5, 7, 9, 10, 8, 6, 4, 2, 1)
-        ranks = [sum(w[i] < w[k] for i in range(k)) for k in range(len(w))]
         with pytest.raises(
             ResourceLimit,
             match=r"^refinement exceeded the cell budget of 100: 101 items at depth 5 of 9$",
         ):
-            list(walk(alt_sawtooth(9), 9, cell_budget=100, ranks=ranks))
+            list(walk(alt_sawtooth(9), 9, cell_budget=100, pattern=w))
 
 
 class TestDepthZero:
     """A walk to depth 0 splits nothing, so it scales no piece: at
     Q = q**0 = 1 a fractional piece end would be truncated."""
 
-    @pytest.fixture(autouse=True)
-    def no_scale_at_depth_zero(self, monkeypatch):
-        real = engine._scaled
+    MAPS = (tent(), jagged(), point_and_jump())
 
-        def scaled(m, depth):
-            if depth == 0:
-                raise AssertionError("the pieces were scaled at depth 0")
-            return real(m, depth)
+    def test_scaled_has_no_piece(self):
+        for m in self.MAPS:
+            assert _scaled(m, 0) == (1, [])
 
-        monkeypatch.setattr(engine, "_scaled", scaled)
-
-    @pytest.mark.parametrize("ranks", [None, [0]], ids=["full", "pruned"])
-    def test_walk_is_the_root_item(self, ranks):
-        for m in (tent(), jagged(), point_and_jump()):
-            assert list(walk(m, 0, ranks=ranks)) == [(0, 0, 1, 1, 1, True, True, (1,), (0,), (0,))]
+    @pytest.mark.parametrize("pattern", [None, (1,)], ids=["full", "pruned"])
+    def test_walk_is_the_root_item(self, pattern):
+        for m in self.MAPS:
+            assert list(walk(m, 0, pattern=pattern)) == [(0, 0, 1, 1, 1, True, True, (1,), (0,), (0,))]
 
     def test_a_length_one_pattern_is_realized(self):
         assert is_realized(tent(), (1,))
+
+
+class TestWalkInputs:
+    def test_negative_depth(self):
+        for pruned in ({}, {"pattern": (1,)}):
+            with pytest.raises(BadParameter, match=r"^the depth must be at least 0, got -1$"):
+                list(walk(tent(), -1, **pruned))
+
+    @pytest.mark.parametrize("pattern", [(), (1, 3, 3), (0, 1, 2), (2, 4, 1)])
+    def test_pattern_must_be_a_permutation(self, pattern):
+        with pytest.raises(BadParameter, match="permutation"):
+            list(walk(tent(), 2, pattern=pattern))
+
+    @pytest.mark.parametrize("pattern", [(1, 2), (1, 3, 2, 4)])
+    def test_pattern_length_is_the_depth_plus_one(self, pattern):
+        with pytest.raises(BadParameter, match=r"^a walk to depth 2 takes a length-3 pattern$"):
+            list(walk(tent(), 2, pattern=pattern))
+
+    def test_any_sequence_is_a_pattern(self):
+        assert list(walk(tent(), 2, pattern=[2, 3, 1])) == list(walk(tent(), 2, pattern=(2, 3, 1)))
 
 
 def neighbours(order, target):

@@ -220,6 +220,27 @@ class TestAvoiders:
         with pytest.raises(ResourceLimit, match="node budget of 67: 17 avoiders of length 4"):
             avoiders([(3, 2, 1)], 4, node_budget=67)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_with_no_pattern(self, budget):
+        for run in (count_avoiders, avoiders):
+            with pytest.raises(BadParameter, match=f"node budget must be positive, got {budget}"):
+                run([], 3, node_budget=budget)
+
+    def test_no_pattern_listing_is_charged_before_any_word_is_built(self, monkeypatch):
+        # every word avoids no pattern: 5! = 120 words of 5 entries each
+        assert len(avoiders([], 5, node_budget=600)) == 120
+        monkeypatch.setattr("patlab.perms.all_perms", None)  # building the listing would fail
+        with pytest.raises(ResourceLimit, match=r"node budget of 599: 120 avoiders of length 5$"):
+            avoiders([], 5, node_budget=599)
+        with pytest.raises(ResourceLimit, match=r"budget of 10: more than 3! = 6 avoiders of length 5$"):
+            avoiders([], 5, node_budget=10)
+        # 11! * 11 = 439,084,800 entries pass the default budget
+        with pytest.raises(ResourceLimit, match=r"of 50000000: 39916800 avoiders of length 11$"):
+            avoiders([], 11)
+        # the product stops once it passes the budget, so a huge n is refused at once
+        with pytest.raises(ResourceLimit, match=r": more than 1! = 1 avoiders of length 10{20}$"):
+            avoiders([], 10**20)
+
     def test_forward_stops_at_the_first_empty_depth(self):
         # no state survives the pattern 1, so a search that went on would
         # yield one more empty depth per unused value

@@ -44,7 +44,7 @@ from patlab import (
 )
 from patlab import engine
 from patlab.bounds import METHODS, ORIENTATIONS
-from patlab.engine import _cylinder_counts, _ranks, _scaled, _word, walk
+from patlab.engine import _cylinder_counts, _scaled, _word, walk
 
 from itineraries import itinerary_patterns
 
@@ -123,15 +123,14 @@ def test_is_realized_matches_allowed(m, n):
 @PROPERTY
 @given(pwl_maps())
 def test_pruned_walk_is_the_filtered_full_walk(m):
-    """The walk with ranks keeps exactly the full walk's items whose order
-    agrees with the pattern's prefix."""
+    """The walk with a pattern keeps exactly the full walk's items whose
+    order agrees with the pattern's prefix."""
     for n in range(1, 6):
         full = list(walk(m, n - 1))
         for pi in all_perms(n):
-            ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(n)]
             agree = [tuple(sorted(range(k + 1), key=pi.__getitem__)) for k in range(n)]
             kept = [item for item in full if item[-1] == agree[item[0]]]
-            assert sorted(walk(m, n - 1, ranks=ranks)) == sorted(kept), pi
+            assert sorted(walk(m, n - 1, pattern=pi)) == sorted(kept), pi
 
 
 @PROPERTY
@@ -263,8 +262,8 @@ def test_items_hold_their_order_at_their_closed_ends(m, depth, data):
     iterates tie: at each closed end the Fraction orbit realizes the
     item's order."""
     pattern = tuple(data.draw(st.permutations(range(1, depth + 2))))
-    for ranks in (None, _ranks(pattern)):
-        for k, ln, ld, hn, hd, lc, hc, _, _, order in walk(m, depth, ranks=ranks):
+    for pruned in (None, pattern):
+        for k, ln, ld, hn, hd, lc, hc, _, _, order in walk(m, depth, pattern=pruned):
             for closed, x in ((lc, F(ln, ld)), (hc, F(hn, hd))):
                 if closed:
                     values = orbit(m, x, k + 1)
@@ -290,7 +289,6 @@ def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
         return recording
 
     pattern = data.draw(st.permutations(range(1, depth + 2)))
-    ranks = [sum(pattern[i] < pattern[k] for i in range(k)) for k in range(depth + 1)]
     engine._entry = None
     try:
         with mock.patch.object(engine, "_span", spy(engine._span, spans, 4)), \
@@ -298,7 +296,7 @@ def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
                 mock.patch.object(engine, "_cut", spy(engine._cut, parts, 6)):
             for _ in walk(m, depth):
                 pass
-            for _ in walk(m, depth, ranks=ranks):
+            for _ in walk(m, depth, pattern=pattern):
                 pass
             exact_allowed(m, depth + 1)
     finally:
@@ -339,12 +337,6 @@ def test_levels_are_the_rank_words_of_the_walks_items(m, depth):
         assert engine._entry is entry  # every level was served from the one walk
     finally:
         engine._entry = None
-
-
-@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_insertion_ranks_are_the_comparison_counts(pi):
-    assert _ranks(tuple(pi)) == [sum(pi[i] < pi[k] for i in range(k)) for k in range(len(pi))]
 
 
 @PROPERTY
@@ -442,8 +434,7 @@ def test_pruned_walk_is_the_filtered_full_walk_in_order(m):
             for p in agreeing.get((item[0], item[-1]), ()):
                 kept[p].append(item)
         for pi, items in zip(patterns, kept):
-            ranks = [sum(pi[i] < pi[k] for i in range(k)) for k in range(n)]
-            assert list(walk(m, n - 1, ranks=ranks)) == items, pi
+            assert list(walk(m, n - 1, pattern=pi)) == items, pi
 
 
 def test_cylinder_bound_counts_the_catalog_cylinders():
