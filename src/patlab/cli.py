@@ -2,7 +2,11 @@
 
 Every command emits a JSON envelope {"map", "n", "exact", "result",
 "engine_version", "elapsed_ms"} (plus "note" where a caveat applies) to
-stdout or --out; --format csv flattens just the result.  Exit codes:
+stdout or --out; --format csv flattens just the result.  The handlers
+return only (result, exit code); `run` loads --map once and builds the
+envelope: "map" and "note" from the loaded map, "n" from --n (--n-max
+for `shortest`), "exact" and any fixed note from the subcommand's parser
+defaults.  Exit codes:
 0 success, 2 validation, usage or file error, 3 resource limit exceeded
 (1 is reserved for `verify` finding a failed check).
 
@@ -43,6 +47,10 @@ from .mapspec import SHORTHANDS, load_map_spec
 from .perms import DEFAULT_NODE_BUDGET, avoiders, count_avoiders, parse_perm
 
 SAMPLE_NOTE = "sampled lower bound: absent patterns are not thereby forbidden"
+CHECK_BASIS_NOTE = (
+    "each listed piece count is ruled out as having exactly this minimal "
+    "forbidden set; obstruction certified up to m_max={m_max}"
+)
 
 
 def _parse_patterns(text: str) -> list:
@@ -62,49 +70,37 @@ def _parse_lengths(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (envelope core, exit code)
+# subcommand handlers: each takes the parsed flags and the loaded map (None
+# for a subcommand without --map) and returns (result, exit code)
 
 
-def _cmd_pattern_set(args) -> tuple[dict, int]:
+def _cmd_pattern_set(args, lm) -> tuple:
     from . import cache  # here, not at import: only the exact pattern-set commands use it
 
-    lm = load_map_spec(args.map)
     m = lm.require_exact()
     compute = lambda: args.op(m, args.n, args.cell_budget)
-    result = cache.pattern_set(lm.spec, args.command, args.n, compute)
-    return {"map": lm.label, "n": args.n, "exact": True, "result": result, "note": lm.note}, 0
+    return cache.pattern_set(lm.spec, args.command, args.n, compute), 0
 
 
-def _cmd_shortest(args) -> tuple[dict, int]:
-    lm = load_map_spec(args.map)
-    m = lm.require_exact()
-    value = shortest_forbidden_length(m, args.n_max, args.cell_budget)
-    return {"map": lm.label, "n": args.n_max, "exact": True, "result": value, "note": lm.note}, 0
+def _cmd_shortest(args, lm) -> tuple:
+    return shortest_forbidden_length(lm.require_exact(), args.n, args.cell_budget), 0
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
-    lm = load_map_spec(args.map)
-    m = lm.require_exact()
-    report = shortest_bound(m, args.method, args.orientation)
-    return {"map": lm.label, "n": None, "exact": True, "result": asdict(report), "note": lm.note}, 0
+def _cmd_bound(args, lm) -> tuple:
+    return asdict(shortest_bound(lm.require_exact(), args.method, args.orientation)), 0
 
 
-def _cmd_avoiders(args) -> tuple[dict, int]:
-    patterns = _parse_patterns(args.patterns)
-    result = avoiders(patterns, args.n, args.node_budget).to_json()
-    return {"map": None, "n": args.n, "exact": True, "result": result}, 0
+def _cmd_avoiders(args, lm) -> tuple:
+    return avoiders(_parse_patterns(args.patterns), args.n, args.node_budget).to_json(), 0
 
 
-def _cmd_count(args) -> tuple[dict, int]:
-    patterns = _parse_patterns(args.patterns)
-    result = count_avoiders(patterns, args.n, args.node_budget)
-    return {"map": None, "n": args.n, "exact": True, "result": result}, 0
+def _cmd_count(args, lm) -> tuple:
+    return count_avoiders(_parse_patterns(args.patterns), args.n, args.node_budget), 0
 
 
-def _cmd_sample(args) -> tuple[dict, int]:
+def _cmd_sample(args, lm) -> tuple:
     from . import numeric  # here, not at import: it loads NumPy
 
-    lm = load_map_spec(args.map)
     nm = lm.numeric()
     given = {
         "grid_count": args.grid,
@@ -117,64 +113,35 @@ def _cmd_sample(args) -> tuple[dict, int]:
     result = numeric.sampled_allowed(nm, args.n, cfg).to_json()
     if args.scan_missing is not None:
         result["first_missing_cap"] = numeric.first_missing_cap(nm, args.scan_missing, cfg)
-    return {"map": lm.label, "n": args.n, "exact": False, "result": result, "note": SAMPLE_NOTE}, 0
+    return result, 0
 
 
-def _cmd_check_basis(args) -> tuple[dict, int]:
-    patterns = _parse_patterns(args.patterns)
-    orders = basis_obstruction(patterns, args.m_max)
-    note = (
-        "each listed piece count is ruled out as having exactly this minimal "
-        f"forbidden set; obstruction certified up to m_max={args.m_max}"
-    )
-    return {"map": None, "n": None, "exact": True, "result": orders, "note": note}, 0
+def _cmd_check_basis(args, lm) -> tuple:
+    return basis_obstruction(_parse_patterns(args.patterns), args.m_max), 0
 
 
-def _cmd_length_check(args) -> tuple[dict, int]:
-    report = basis_length_check(_parse_lengths(args.lengths))
-    result = asdict(report)
+def _cmd_length_check(args, lm) -> tuple:
+    result = asdict(basis_length_check(_parse_lengths(args.lengths)))
     result["lengths"] = list(result["lengths"])
-    return {"map": None, "n": None, "exact": True, "result": result}, 0
+    return result, 0
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    from .verify import run_all  # here, not at import: its checks load NumPy
+def _cmd_verify(args, lm) -> tuple:
+    from .verify import check_names, run_all  # here, not at import: its checks load NumPy
 
-    results = run_all(args.only or None)
-    if not results:
-        raise BadParameter(f"no checks match {args.only}")
+    unknown = [name for name in args.only or () if name not in check_names()]
+    if unknown:
+        raise BadParameter(f"no checks match {unknown}")
+    results = run_all(args.only)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name} ({r.elapsed_s:.2f}s)", file=sys.stderr)
-    rows = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "elapsed_s": round(r.elapsed_s, 3),
-        }
-        for r in results
-    ]
-    code = 0 if all(r.passed for r in results) else 1
-    return {"map": None, "n": None, "exact": True, "result": rows}, code
+    rows = [asdict(r) | {"elapsed_s": round(r.elapsed_s, 3)} for r in results]
+    return rows, 0 if all(r.passed for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-
-def _add_map_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--map",
-        required=True,
-        help=f"catalog shorthand ({', '.join(SHORTHANDS.values())}), "
-        "inline JSON, or a spec-file path",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,6 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"patlab {__version__}")
     sub = parser.add_subparsers(dest="command")
 
+    def command(name, handler, help_text, map_flag=True, exact=True, note=None, **defaults):
+        # the envelope's exact and fixed note ride along as defaults; a note
+        # may name flags, as in {m_max}
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, exact=exact, note=note, **defaults)
+        if map_flag:
+            p.add_argument(
+                "--map",
+                required=True,
+                help=f"catalog shorthand ({', '.join(SHORTHANDS.values())}), "
+                "inline JSON, or a spec-file path",
+            )
+        return p
+
     # the engine functions are read here, not at import, so a wrapped
     # module global is what the handler calls
     for name, op, help_text in (
@@ -192,44 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
         ("forbidden", exact_forbidden, "length-n patterns no orbit realizes (exact)"),
         ("basic", exact_basic_forbidden, "minimal forbidden patterns of length n (exact)"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=_cmd_pattern_set, op=op)
-        _add_map_flag(p)
+        p = command(name, _cmd_pattern_set, help_text, op=op)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
-        _add_output_flags(p)
 
-    p = sub.add_parser("shortest", help="least n with a forbidden pattern")
-    p.set_defaults(handler=_cmd_shortest)
-    _add_map_flag(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p = command("shortest", _cmd_shortest, "least n with a forbidden pattern")
+    p.add_argument("--n-max", dest="n", metavar="N_MAX", type=int, default=10)
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
-    _add_output_flags(p)
 
-    p = sub.add_parser("bound", help="geometric upper bound on the shortest forbidden length")
-    p.set_defaults(handler=_cmd_bound)
-    _add_map_flag(p)
+    p = command("bound", _cmd_bound, "geometric upper bound on the shortest forbidden length")
     p.add_argument("--method", choices=METHODS, default="simple")
     p.add_argument("--orientation", choices=ORIENTATIONS, default="below")
-    _add_output_flags(p)
 
-    p = sub.add_parser("avoiders", help="permutations with no window matching any pattern")
-    p.set_defaults(handler=_cmd_avoiders)
-    p.add_argument("--patterns", required=True, help="comma-separated (use ';' for n >= 10)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    _add_output_flags(p)
+    for name, handler, help_text, patterns_help in (
+        ("avoiders", _cmd_avoiders, "permutations with no window matching any pattern",
+         "comma-separated (use ';' for n >= 10)"),
+        ("count", _cmd_count, "number of avoiders without materializing them", None),
+    ):
+        p = command(name, handler, help_text, map_flag=False)
+        p.add_argument("--patterns", required=True, help=patterns_help)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = sub.add_parser("count", help="number of avoiders without materializing them")
-    p.set_defaults(handler=_cmd_count)
-    p.add_argument("--patterns", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    _add_output_flags(p)
-
-    p = sub.add_parser("sample", help="patterns realized by sampled float orbits (approximate)")
-    p.set_defaults(handler=_cmd_sample)
-    _add_map_flag(p)
+    p = command("sample", _cmd_sample, "patterns realized by sampled float orbits (approximate)",
+                exact=False, note=SAMPLE_NOTE)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int)
     p.add_argument("--random", type=int)
@@ -241,24 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N_MAX",
         help="also report the first length whose cap pattern (n-1)12..(n-2)n never occurs",
     )
-    _add_output_flags(p)
 
-    p = sub.add_parser("check-basis", help="piece counts ruled out for a candidate minimal set")
-    p.set_defaults(handler=_cmd_check_basis)
+    p = command("check-basis", _cmd_check_basis, "piece counts ruled out for a candidate minimal set",
+                map_flag=False, note=CHECK_BASIS_NOTE)
     p.add_argument("--patterns", required=True)
     p.add_argument("--m-max", type=int, default=5)
-    _add_output_flags(p)
 
-    p = sub.add_parser("length-check", help="counting inequality for candidate basis lengths")
-    p.set_defaults(handler=_cmd_length_check)
+    p = command("length-check", _cmd_length_check, "counting inequality for candidate basis lengths",
+                map_flag=False)
     p.add_argument("--lengths", required=True, help="comma-separated pattern lengths")
-    _add_output_flags(p)
 
-    p = sub.add_parser("verify", help="run the package acceptance checklist")
-    p.set_defaults(handler=_cmd_verify)
+    p = command("verify", _cmd_verify, "run the package acceptance checklist", map_flag=False)
     p.add_argument("--only", action="append", metavar="NAME", help="run a single named check")
-    _add_output_flags(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     return parser
 
 
@@ -296,20 +261,21 @@ def _result_to_csv(result) -> str:
     return buf.getvalue()
 
 
-def _emit(core: dict, args, started: float) -> None:
+def _emit(result, lm, args, started: float) -> None:
     envelope = {
-        "map": core.get("map"),
-        "n": core.get("n"),
-        "exact": core.get("exact"),
-        "result": core.get("result"),
+        "map": lm.label if lm else None,
+        "n": getattr(args, "n", None),
+        "exact": args.exact,
+        "result": result,
         "engine_version": __version__,
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
-    if core.get("note"):
-        envelope["note"] = core["note"]
+    note = args.note.format_map(vars(args)) if args.note else lm and lm.note
+    if note:
+        envelope["note"] = note
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "csv":
-            fh.write(_result_to_csv(envelope["result"]))
+            fh.write(_result_to_csv(result))
         else:
             # streamed in blocks of encoder chunks: few writes, and a large report is never held whole
             chunks = json.JSONEncoder(indent=2).iterencode(envelope)
@@ -330,8 +296,9 @@ def run(argv=None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        core, code = args.handler(args)
-        _emit(core, args, started)
+        lm = load_map_spec(args.map) if hasattr(args, "map") else None
+        result, code = args.handler(args, lm)
+        _emit(result, lm, args, started)
     except ResourceLimit as exc:
         print(f"patlab: resource limit: {exc}", file=sys.stderr)
         return 3

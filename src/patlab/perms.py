@@ -173,6 +173,13 @@ def _check_node_budget(node_budget: int) -> None:
         raise BadParameter(f"the node budget must be positive, got {node_budget}")
 
 
+def _search_limit(node_budget: int, states: int, depth: int, n: int) -> ResourceLimit:
+    return ResourceLimit(
+        f"avoider search exceeded the node budget of {node_budget}: "
+        f"{states} states at depth {depth} of {n}"
+    )
+
+
 def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm, int]]]:
     """Yield the states of each depth 0..n, grouped by order, each with the
     number of ways to reach it.
@@ -192,10 +199,7 @@ def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm,
         for group, row, top in expand(layer, depth):
             remaining -= len(group) * (n - depth)
             if remaining < 0:
-                raise ResourceLimit(
-                    f"avoider search exceeded the node budget of {node_budget}: "
-                    f"{sum(map(len, layer.values()))} states at depth {depth} of {n}"
-                )
+                raise _search_limit(node_budget, sum(map(len, layer.values())), depth, n)
             for _, lo, hi, d, adj, shift, succ in row:
                 out = nxt.setdefault(succ, {})
                 for tail, c in group.items():
@@ -305,12 +309,24 @@ def avoiders(
 def count_avoiders(
     patterns: Iterable[Sequence[int]], n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
-    """|avoiders(patterns, n)|, keeping the counts of one depth at a time."""
+    """|avoiders(patterns, n)|, keeping the counts of one depth at a time.
+
+    With no pattern the answer is n!, charged first as the search would
+    charge its one state per depth: n - k moves at depth k, n(n + 1)/2 in
+    all, so a huge n is refused at once.
+    """
     if n < 1:
         raise BadParameter("n must be at least 1")
     _check_node_budget(node_budget)
     by_len = _group_by_length(patterns)
     if not by_len:
+        charged = lambda depth: (depth + 1) * (2 * n - depth) // 2  # moves through depth
+        lo, hi = 0, n - 1
+        if charged(hi) > node_budget:
+            while lo < hi:  # the first depth past the budget, by bisection: n may be huge
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if charged(mid) > node_budget else (mid + 1, hi)
+            raise _search_limit(node_budget, 1, lo, n)
         return math.factorial(n)
     for layer in _forward(_expander(by_len, n), n, node_budget):
         pass

@@ -323,6 +323,13 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.splitlines() == ["patlab: no checks match ['no-such-check']"]
 
+    def test_verify_unknown_check_beside_a_known_one(self, capsys):
+        # the known name used to run alone and exit 0, the typo ignored
+        argv = ["verify", "--only", "09-single-length-budget", "--only", "09-typo"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["patlab: no checks match ['09-typo']"]
+
     @pytest.mark.parametrize(
         "argv",
         [["count", "--patterns", ",", "--n", "3"], ["length-check", "--lengths", "3,x"]],

@@ -9,6 +9,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -199,6 +200,23 @@ class TestAvoiders:
     def test_node_budget(self):
         with pytest.raises(ResourceLimit):
             count_avoiders([(1, 3, 2)], 8, node_budget=5)
+
+    def test_no_patterns_charge_the_search(self):
+        # one state per depth, charged n - k moves at depth k: 10 + 9 + ... + 1 = 55
+        assert count_avoiders([], 10, node_budget=55) == 3628800
+        with pytest.raises(ResourceLimit) as info:
+            count_avoiders([], 10, node_budget=54)
+        assert str(info.value) == (
+            "avoider search exceeded the node budget of 54: 1 states at depth 9 of 10"
+        )
+
+    @pytest.mark.parametrize("n", [10**5, 10**20])
+    def test_no_patterns_huge_n_refused_at_once(self, n):
+        # n! of 10**5 took most of a second to build, and more as n grew
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="node budget of 50000000: 1 states at depth"):
+            count_avoiders([], n)
+        assert time.perf_counter() - started < 0.1
 
     def test_budget_message_names_depth_and_states(self):
         # depth 0 charges 8 moves; depth 1 holds 8 states of 7 moves each
