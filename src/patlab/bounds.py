@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .engine import walk
 from .errors import BadParameter, ResourceLimit
 from .perms import Perm, check_perm, contains
-from .pwl import Interval, PwlMap
+from .pwl import _DIGITS_BOUND, Interval, PwlMap
 
 METHODS = ("simple", "refined")
 ORIENTATIONS = ("below", "above")
@@ -35,9 +35,6 @@ _SIDE_ORDER = {"below": (1, 0), "above": (0, 1)}  # indices of x, f(x), smaller 
 # the largest shortest length basis_length_check accepts: it gives h = 1000,
 # and 1000! has 2,568 digits, within the 4,300 that Python converts to text
 MAX_SHORTEST_LENGTH = 2_000
-# Python converts ints of at most 4,300 digits to text, so a report's
-# total must stay below this
-_TOTAL_LIMIT = 10**4300
 # the largest m_max basis_obstruction accepts: order m builds a witness
 # of length 2m + 3 and scans its windows, so the cost grows with m_max**2
 MAX_OBSTRUCTION_ORDER = 1_000
@@ -207,7 +204,7 @@ def basis_length_check(lengths: Iterable[int]) -> AntichainLengthCheck:
         )
     half_min = ks[0] // 2
     total = sum(ks)
-    if total >= _TOTAL_LIMIT:
+    if total >= _DIGITS_BOUND:  # a report's total must convert to text
         raise BadParameter("the lengths sum to a number of more than 4,300 digits")
     required = math.factorial(half_min) + len(ks) * (half_min - 1)
     return AntichainLengthCheck(ks, half_min, total, required, total >= required)

@@ -8,8 +8,8 @@ JSON of the result as its body, and the SHA-256 of that body.  An entry
 is served only if it names the same inputs, its body matches the hash,
 and the body parses as a pattern set of the requested n whose canonical
 JSON is the stored body itself.  Any other entry (truncated, hand-edited,
-nested too deep to decode, misplaced or noncanonical) is recomputed and
-overwritten.  The hash catches corruption, not a writer who stores a
+nested too deep to decode, misplaced, noncanonical or with an n that is
+no integer, such as 1e400) is recomputed and overwritten.  The hash catches corruption, not a writer who stores a
 wrong result with a fresh hash, so the cache directory must be trusted.
 Writes go through a temp file and rename, so a crashed run cannot leave
 a truncated entry.
@@ -98,7 +98,7 @@ def pattern_set(spec: dict, op: str, n: int, compute) -> dict:
     text = load(path)
     result = None if text is None else _served(text, inputs, n)
     if result is None:  # missing, corrupt, tampered or noncanonical: recompute and overwrite
-        body = canonical_json(compute().to_json())
+        result = compute().to_json()
+        body = canonical_json(result)
         store(path, canonical_json({"body": body, "inputs": inputs, "sha256": _sha256(body)}))
-        result = json.loads(body)
     return result

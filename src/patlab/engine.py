@@ -71,7 +71,9 @@ built, and it stops once the counts repeat.  A full walk then refuses a
 depth whose Q would have more than 4,300 digits, the limit pwl puts on
 map data, so a huge depth on a map with no expanding piece and q > 1 is
 refused at once too.  exact_forbidden also counts its n! candidates
-against the budget.
+against the budget, through the capped factorial that avoiders uses to
+charge its listing (perms._factorial_over), and both modules refuse a
+budget below 1 through one check (perms._check_budget).
 
 One walk serves every exact query on a map, and at its last depth it
 makes no items.  For each order of the items one depth up it records one
@@ -111,7 +113,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .errors import BadParameter, ResourceLimit
-from .perms import PatternSet, Perm, all_perms, check_perm
+from .perms import PatternSet, Perm, _check_budget, _factorial_over, all_perms, check_perm
 from .pwl import _MAX_DIGITS, PwlMap
 
 DEFAULT_CELL_BUDGET = 4_000_000
@@ -135,7 +137,7 @@ def walk(
     """
     if depth < 0:
         raise BadParameter(f"the depth must be at least 0, got {depth}")
-    _check_budget(cell_budget)
+    _check_budget(cell_budget, "cell")
     if pattern is not None:
         pattern = check_perm(pattern)
         if len(pattern) != depth + 1:
@@ -282,11 +284,6 @@ def _scaled(m: PwlMap, depth: int) -> tuple[int, list[tuple]]:
          times(p.slope, q), times(p.intercept, scale))
         for p in m.pieces
     ]
-
-
-def _check_budget(cell_budget: int) -> None:
-    if cell_budget < 1:
-        raise BadParameter(f"the cell budget must be positive, got {cell_budget}")
 
 
 def _cylinder_counts(pieces, q) -> Iterator[int]:
@@ -470,7 +467,7 @@ def _level(m: PwlMap, depth: int, cell_budget: int) -> dict[Perm, int]:
     is each word of level k glued to each last value of its mask.
     """
     global _entry
-    _check_budget(cell_budget)
+    _check_budget(cell_budget, "cell")
     e = _entry
     if e is None or e.m != m or depth > e.depth or max(e.created[:depth + 1]) > cell_budget:
         _entry = None  # free the old entry before the walk
@@ -504,22 +501,20 @@ def exact_forbidden(m: PwlMap, n: int, cell_budget: int = DEFAULT_CELL_BUDGET) -
     """Complement of exact_allowed within S_n.
 
     Its n! candidates count against cell_budget before any walk starts:
-    10! = 3,628,800 fits the default budget, 11! does not.  The product
-    stops once it passes the budget, so a huge n is refused at once.
+    10! = 3,628,800 fits the default budget, 11! does not.  _factorial_over
+    stops the product once it passes the budget, so a huge n is refused at
+    once.  Each candidate is looked up in the walk's level n - 1 (see
+    _level); no allowed set is built.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    _check_budget(cell_budget)
-    candidates = 1
-    for k in range(2, n + 1):
-        candidates *= k
-        if candidates > cell_budget:
-            count = f"{candidates}" if k == n else f"more than {k}! = {candidates}"
-            raise ResourceLimit(
-                f"forbidden-set enumeration at n = {n} has {count} candidates, "
-                f"over the cell budget of {cell_budget}"
-            )
-    allowed = exact_allowed(m, n, cell_budget)
+    _check_budget(cell_budget, "cell")
+    if (count := _factorial_over(n, cell_budget)) is not None:
+        raise ResourceLimit(
+            f"forbidden-set enumeration at n = {n} has {count} candidates, "
+            f"over the cell budget of {cell_budget}"
+        )
+    allowed = _level(m, n - 1, cell_budget)
     return PatternSet(n, tuple(p for p in all_perms(n) if p not in allowed))
 
 
@@ -620,7 +615,7 @@ def is_realized(m: PwlMap, pattern, cell_budget: int = DEFAULT_CELL_BUDGET) -> b
     where the full refinement would be enormous.
     """
     pi = check_perm(pattern)
-    _check_budget(cell_budget)
+    _check_budget(cell_budget, "cell")
     depth = len(pi) - 1
     q, pieces = _scaled(m, depth)
     if not _placeable(pieces, q, pi):

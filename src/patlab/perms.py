@@ -18,6 +18,13 @@ every depth, expands each again from the last one back to keep the
 moves into live states, and builds the words from each live state's
 completions at one meeting depth.
 
+Both charge the moves they examine against a node budget, which
+_check_budget refuses below 1; the exact engine shares that check for
+its cell budget.  With no pattern nothing is searched: count_avoiders
+charges the moves the search would make, and avoiders charges its n! * n
+listing through _factorial_over, the capped factorial that the engine's
+exact_forbidden also uses.
+
 >>> reduce_values([3, 4.2, -2, 1.7, 1])
 (4, 5, 1, 3, 2)
 >>> contains((4, 2, 1, 3, 5), (1, 3, 2))
@@ -168,9 +175,22 @@ def _expander(by_len: dict[int, set[Perm]], n: int):
     return expand
 
 
-def _check_node_budget(node_budget: int) -> None:
-    if node_budget < 1:
-        raise BadParameter(f"the node budget must be positive, got {node_budget}")
+def _check_budget(budget: int, noun: str) -> None:
+    """Refuse a budget below 1; noun names it ("cell", "node") in the message."""
+    if budget < 1:
+        raise BadParameter(f"the {noun} budget must be positive, got {budget}")
+
+
+def _factorial_over(n: int, limit: int) -> str | None:
+    """None when n! <= limit, else the text of a count past it: "{n!}", or
+    "more than {k}! = {k!}" for the first k < n with k! > limit, since the
+    product stops once it passes the limit and so a huge n costs nothing."""
+    product = 1
+    for k in range(1, n + 1):
+        product *= k
+        if product > limit:
+            return f"{product}" if k == n else f"more than {k}! = {product}"
+    return None
 
 
 def _search_limit(node_budget: int, states: int, depth: int, n: int) -> ResourceLimit:
@@ -227,34 +247,29 @@ def avoiders(
     the states of depths k..n - 1.  Every completion at a depth extends
     a live prefix to a distinct avoider, so each depth's completions
     hold at most count * n entries too.  With no pattern every word
-    avoids, and its n! * n entries are charged the same way; the product
-    stops once it passes the budget, so a huge n is refused at once.
+    avoids, and its n! * n entries are charged the same way, by
+    _factorial_over, so a huge n is refused at once.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    _check_node_budget(node_budget)
+    _check_budget(node_budget, "node")
     by_len = _group_by_length(patterns)
-    if not by_len:
-        words = 1
-        for k in range(1, n + 1):
-            words *= k
-            if words * n > node_budget:
-                count = f"{words}" if k == n else f"more than {k}! = {words}"
-                raise ResourceLimit(
-                    f"avoider listing exceeded the node budget of {node_budget}: "
-                    f"{count} avoiders of length {n}"
-                )
-        return PatternSet(n, tuple(all_perms(n)))
-    expand = _expander(by_len, n)
-    layers = list(_forward(expand, n, node_budget))
-    count = sum(sum(group.values()) for group in layers[-1].values())
-    if count == 0:
-        return PatternSet(n, ())
-    if count * n > node_budget:
+    if by_len:
+        expand = _expander(by_len, n)
+        layers = list(_forward(expand, n, node_budget))
+        count = sum(sum(group.values()) for group in layers[-1].values())
+        over = f"{count}" if count * n > node_budget else None
+    else:  # n! * n > node_budget exactly when n! > node_budget // n
+        over = _factorial_over(n, node_budget // n)
+    if over is not None:
         raise ResourceLimit(
             f"avoider listing exceeded the node budget of {node_budget}: "
-            f"{count} avoiders of length {n}"
+            f"{over} avoiders of length {n}"
         )
+    if not by_len:
+        return PatternSet(n, tuple(all_perms(n)))
+    if count == 0:
+        return PatternSet(n, ())
     # backward pass: expand each depth again, keeping only the moves into states
     # that reach depth n, and count each kept state's completions
     ways = dict.fromkeys(itertools.chain.from_iterable(layers.pop().values()), 1)
@@ -311,22 +326,21 @@ def count_avoiders(
 ) -> int:
     """|avoiders(patterns, n)|, keeping the counts of one depth at a time.
 
-    With no pattern the answer is n!, charged first as the search would
-    charge its one state per depth: n - k moves at depth k, n(n + 1)/2 in
-    all, so a huge n is refused at once.
+    With no pattern the answer is n!, charged first as _forward would
+    charge its one state: n - k moves at depth k.  The charges end or
+    pass the budget within about sqrt(2 * node_budget) depths, so a huge
+    n is refused at once.
     """
     if n < 1:
         raise BadParameter("n must be at least 1")
-    _check_node_budget(node_budget)
+    _check_budget(node_budget, "node")
     by_len = _group_by_length(patterns)
     if not by_len:
-        charged = lambda depth: (depth + 1) * (2 * n - depth) // 2  # moves through depth
-        lo, hi = 0, n - 1
-        if charged(hi) > node_budget:
-            while lo < hi:  # the first depth past the budget, by bisection: n may be huge
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if charged(mid) > node_budget else (mid + 1, hi)
-            raise _search_limit(node_budget, 1, lo, n)
+        charged = 0
+        for depth in range(n):
+            charged += n - depth
+            if charged > node_budget:
+                raise _search_limit(node_budget, 1, depth, n)
         return math.factorial(n)
     for layer in _forward(_expander(by_len, n), n, node_budget):
         pass
@@ -406,7 +420,7 @@ class PatternSet:
     @classmethod
     def from_json(cls, data: dict) -> "PatternSet":
         try:
-            n = int(data["n"])
+            n = operator.index(data["n"])  # TypeError for a float (1e400 decodes as inf) or "3"
             perms = [parse_perm(w) for w in data["patterns"]]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad pattern-set JSON: {data!r}") from exc

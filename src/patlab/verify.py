@@ -94,14 +94,14 @@ def family_rotated(n: int) -> Perm:
 # exact-engine checks
 
 
-TENT_BASIC_SIZES = {3: 1, 4: 5, 5: 9, 6: 28, 7: 53, 8: 110}
+TENT_BASIC_SIZES = {3: 1, 4: 5, 5: 9, 6: 28, 7: 53, 8: 110, 9: 229, 10: 474, 11: 934, 12: 1912}
 
 
 @_check("01-tent-minimal-counts")
 def _tent_minimal_counts() -> tuple[bool, str]:
-    got = {n: len(exact_basic_forbidden(tent(), n)) for n in range(3, 9)}
+    got = {n: len(exact_basic_forbidden(tent(), n)) for n in TENT_BASIC_SIZES}
     ok = got == TENT_BASIC_SIZES
-    return ok, f"sizes for n=3..8: {sorted(got.items())}"
+    return ok, f"sizes for n=3..12: {sorted(got.items())}"
 
 
 @_check("02-tent-minimal-small-sets")

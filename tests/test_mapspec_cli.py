@@ -6,13 +6,18 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patlab import (
     ParseError,
+    PatternSet,
     __version__,
     UnknownMap,
     ValidationError,
@@ -21,6 +26,7 @@ from patlab import (
     exact_basic_forbidden,
     exact_forbidden,
     load_map_spec,
+    parse_perm,
     serialize,
     tent,
 )
@@ -893,6 +899,23 @@ class TestCache:
 
         self.assert_recomputed(capsys, tmp_path, monkeypatch, forge)
 
+    @pytest.mark.parametrize("n", ["1e400", "-1e400", "Infinity", "-Infinity", "NaN", "3.0", "2.5", '"3"'])
+    def test_rehashed_record_with_a_bad_n_recomputed(self, capsys, tmp_path, monkeypatch, n):
+        # json decodes 1e400 as inf, which int() cannot convert: the entry must
+        # be recomputed, not crash the run
+        monkeypatch.setenv("PATLAB_CACHE_DIR", str(tmp_path))
+        argv = ["allowed", "--map", "tent", "--n", "3"]
+        _, out1, _ = run_cli(capsys, argv)
+        (entry,) = list(tmp_path.iterdir())
+        good = entry.read_text()
+        body = '{"n":%s,"patterns":[]}' % n
+        sha = hashlib.sha256(body.encode()).hexdigest()
+        entry.write_text(json.dumps(dict(json.loads(good), body=body, sha256=sha)))
+        code, out2, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out2)["result"] == json.loads(out1)["result"]
+        assert entry.read_text() == good
+
     def test_entry_name_pinned(self, capsys, tmp_path, monkeypatch):
         # the name is the SHA-256 of the canonical key inputs; changing how
         # they are built would orphan every existing entry
@@ -930,3 +953,69 @@ class TestCache:
         code, out, _ = run_cli(capsys, self.BASIC4)
         assert code == 0
         assert json.loads(out)["result"]["patterns"] == ["1423", "2134", "2143", "3142", "4231"]
+
+
+# edge pools for forged cache records: each record carries the hash of its
+# body, so only the parse and the canonical check stand between it and a hit
+BAD_N = ["4", "1e400", "-1e400", "Infinity", "-Infinity", "NaN", "4.0", "4.5", "1" + "0" * 40,
+         "-4", "0", "true", "null", '"4"', '"\\u0664"', "[4]", "{}"]
+BASIC4_WORDS = ["1423", "2134", "2143", "3142", "4231"]
+BAD_PATTERNS = [
+    BASIC4_WORDS, BASIC4_WORDS[::-1], BASIC4_WORDS + BASIC4_WORDS[:1], [], ["1234"],
+    ["\u0661\u0664\u0662\u0663"], ["1,4,2,3"], ["12345"], ["1223"], [1423], [None], ["", "1423"],
+    "1423", None, {"1423": 1}, [["1423"]], ["9" * 5000],
+]
+
+
+@st.composite
+def forged_records(draw, inputs):
+    n = draw(st.sampled_from(BAD_N))
+    patterns = json.dumps(draw(st.sampled_from(BAD_PATTERNS)))
+    body = draw(st.sampled_from([
+        '{"n":%s,"patterns":%s}' % (n, patterns),
+        '{"patterns":%s,"n":%s}' % (patterns, n),
+        '{"n": %s, "patterns": %s}' % (n, patterns),
+        '{"n":%s,"patterns":%s,"extra":1}' % (n, patterns),
+        '{"n":%s}' % n,
+        "[" * draw(st.sampled_from([1, 200_000])),
+        "%s" % patterns,
+    ]))
+    record = {"body": body, "inputs": inputs, "sha256": hashlib.sha256(body.encode()).hexdigest()}
+    shape = draw(st.sampled_from(["record", "no-hash", "body-not-text", "list", "deep", "bare-body"]))
+    if shape == "no-hash":
+        del record["sha256"]
+    elif shape == "body-not-text":
+        record["body"] = json.loads(body) if body.startswith("{") else 4
+    elif shape == "list":
+        record = [record]
+    elif shape == "deep":
+        return "{" * 50_000
+    elif shape == "bare-body":
+        return body
+    return json.dumps(record)
+
+
+BASIC4_INPUTS = {"n": 4, "op": "basic", "spec": {"type": "tent"}, "version": __version__}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(forged_records(BASIC4_INPUTS))
+def test_forged_records_are_recomputed(forged):
+    """cache.pattern_set never raises on a forged entry: it returns the
+    computed answer and restores the entry."""
+    import patlab.cache
+
+    answer = PatternSet(4, tuple(map(parse_perm, BASIC4_WORDS)))
+    with tempfile.TemporaryDirectory() as directory:
+        with mock.patch.dict(os.environ, {"PATLAB_CACHE_DIR": directory}):
+            args = BASIC4_INPUTS["spec"], "basic", 4, lambda: answer
+            assert patlab.cache.pattern_set(*args) == answer.to_json()
+            (name,) = os.listdir(directory)
+            entry = os.path.join(directory, name)
+            with open(entry, encoding="utf-8") as fh:
+                good = fh.read()
+            with open(entry, "w", encoding="utf-8") as fh:
+                fh.write(forged)
+            assert patlab.cache.pattern_set(*args) == answer.to_json()
+            with open(entry, encoding="utf-8") as fh:
+                assert fh.read() == good

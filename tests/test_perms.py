@@ -445,3 +445,8 @@ class TestPatternSet:
         # a cache body is outside input: it must fail as ParseError, not crash
         with pytest.raises(ParseError):
             PatternSet.from_json(data)
+
+    @pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan"), 2.0, 2.5, "2", None])
+    def test_json_n_that_is_no_integer(self, n):
+        with pytest.raises(ParseError):
+            PatternSet.from_json({"n": n, "patterns": []})

@@ -255,6 +255,22 @@ def bound_maps(draw):
     return PwlMap(tuple(pieces))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(pwl_maps(), bound_maps()))
+def test_refined_witness_of_each_count_is_forbidden(m):
+    """With k >= 1 pieces counted by refined_piece_count on a side of the
+    diagonal, witness(k, "refined") is not realized for "below", and its
+    complement v -> n + 1 - v, the witness of the map conjugated by
+    x -> 1 - x, is not realized for "above"."""
+    for orientation in ORIENTATIONS:
+        k = refined_piece_count(m, orientation)
+        if k:
+            w = witness(k, "refined")
+            if orientation == "above":
+                w = tuple(len(w) + 1 - v for v in w)
+            assert not is_realized(m, w), (orientation, k, w)
+
+
 @PROPERTY
 @given(st.one_of(pwl_maps(), bound_maps()), st.integers(0, 5), st.data())
 def test_items_hold_their_order_at_their_closed_ends(m, depth, data):
