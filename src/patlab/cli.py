@@ -261,6 +261,21 @@ def _result_to_csv(result) -> str:
     return buf.getvalue()
 
 
+def _write_all(fh, text: str) -> None:
+    """fh.write(text), finished or raising.  With PYTHONUNBUFFERED set,
+    sys.stdout writes straight to a raw file, and TextIOWrapper drops what
+    a short write leaves (a pipe whose reader stopped); here the rest is
+    written again until it is all taken or the write raises."""
+    raw = getattr(fh, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        fh.write(text)
+        return
+    fh.flush()
+    data = memoryview(text.encode(fh.encoding, fh.errors))
+    while data:
+        data = data[raw.write(data) :]
+
+
 def _emit(result, lm, args, started: float) -> None:
     envelope = {
         "map": lm.label if lm else None,
@@ -275,13 +290,13 @@ def _emit(result, lm, args, started: float) -> None:
         envelope["note"] = note
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "csv":
-            fh.write(_result_to_csv(result))
+            _write_all(fh, _result_to_csv(result))
         else:
             # streamed in blocks of encoder chunks: few writes, and a large report is never held whole
             chunks = json.JSONEncoder(indent=2).iterencode(envelope)
             while block := list(itertools.islice(chunks, 4096)):
-                fh.write("".join(block))
-            fh.write("\n")
+                _write_all(fh, "".join(block))
+            _write_all(fh, "\n")
 
 
 def run(argv=None) -> int:

@@ -9,14 +9,20 @@ whose windows reduce to a forbidden pattern, by a transfer-state table
 (Elizalde and Noy, Adv. Appl. Math. 2003).  Placing values one at a
 time, a state keeps only the ranks of the longest suffix of the placed
 values that reduces to a proper prefix of a forbidden pattern, among
-those values and the unused ones; many prefixes share a state.  Each
-depth's states are grouped by the order of their entries among
-themselves, which fixes their moves, so a pass over a depth looks up
-each order's moves once.  One forward pass sums the counts a depth at
-a time; `count_avoiders` keeps only the last depth.  `avoiders` keeps
-every depth, expands each again from the last one back to keep the
-moves into live states, and builds the words from each live state's
-completions at one meeting depth.
+those values and the unused ones; many prefixes share a state.  A state
+(a tail) is one int, its code: each rank in a bit field wide enough for
+ranks 0..n - 1, the newest in the lowest field, under a sentinel bit
+that marks the length, so tails of different lengths never share a
+code.  A move drops the oldest fields, lowers the kept ranks, shifts
+the code up one field and adds the new rank, so the next codes of one
+tail by one rule form a run of consecutive ints.  Each depth's states
+are grouped by the order of their entries among themselves, which
+fixes their moves, so a pass over a depth looks up each order's moves
+once.  One forward pass sums the counts a depth at a time;
+`count_avoiders` keeps only the last depth.  `avoiders` keeps every
+depth, expands each again from the last one back, finding the live
+states in each run by bisection, and builds the words from each live
+state's completions at one meeting depth.
 
 Both charge the moves they examine against a node budget, which
 _check_budget refuses below 1; the exact engine shares that check for
@@ -33,6 +39,7 @@ False
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -126,51 +133,72 @@ def _group_by_length(patterns: Iterable[Sequence[int]]) -> dict[int, set[Perm]]:
     return by_len
 
 
-def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm]) -> list:
+def _row(order: Perm, by_len: dict[int, set[Perm]], prefixes: set[Perm], w: int) -> list:
     """Moves out of the tails whose entries rank `order` (from 0) among themselves.
 
-    One entry (r, lo, hi, d, adj, shift, succ) for each r, ascending, such
+    One entry (r, lo, hi, keep, base, succ) for each r, ascending, such
     that a new value above exactly r tail values completes no forbidden
-    window; it lies above the tail entry at position lo and below the one
-    at hi (None past either end).  The move keeps the longest suffix of
-    (tail, new value) that reduces to a proper prefix of some forbidden
-    pattern: the first d tail values are dropped (adj is None if d = 0),
-    the kept ones and the new value lose adj and shift ranks to the
-    dropped values below them, and the kept values rank succ by themselves.
+    window.  The move keeps the longest suffix of (tail, new value) that
+    reduces to a proper prefix of some forbidden pattern, whose values
+    rank succ among themselves.  On a tail's code (see _expander), the
+    new value's rank q runs from a, one past the entry just below it,
+    read as code >> lo & (2**w - 1), to b - 1, b the entry just above
+    it, read with hi (a = 0 and b = top where lo and hi are None).  The
+    next code is pre + q, pre = ((code & keep) << w) + base:
+    keep drops the first d entries and the sentinel above them (keep = -1
+    if d = 0), and base puts the sentinel back above the kept fields,
+    takes from each kept rank the dropped values below it (adj, packed
+    as a code) and from q those below the new value.
     """
-    ends = [None, *sorted(range(len(order)), key=order.__getitem__), None]
+    k = len(order)
+    ends = [None, *sorted(range(k), key=order.__getitem__), None]
     row = []
-    for r in range(len(order) + 1):
-        w = tuple(e + (e >= r) for e in order) + (r,)
-        if any(k <= len(w) and reduce_values(w[-k:]) in forb for k, forb in by_len.items()):
+    for r in range(k + 1):
+        v = tuple(e + (e >= r) for e in order) + (r,)
+        if any(j <= len(v) and reduce_values(v[-j:]) in forb for j, forb in by_len.items()):
             continue
-        d = next(i for i in range(len(w)) if reduce_values(w[i:]) in prefixes)
+        d = next(i for i in range(len(v)) if reduce_values(v[i:]) in prefixes)
         drop = order[:d]
-        adj = tuple(sum(x < e for x in drop) for e in order[d:]) if d else None
-        succ = tuple(x - 1 for x in reduce_values(w[d:]))
-        row.append((r, ends[r], ends[r + 1], d, adj, sum(x < r for x in drop), succ))
+        adj = sum(sum(x < e for x in drop) << w * i for i, e in enumerate(reversed(order[d:])))
+        sentinel = 1 << w * (k - d)  # above the kept fields
+        keep, add = (sentinel - 1, sentinel - adj) if d else (-1, 0)
+        base = (add << w) - sum(x < r for x in drop)
+        lo, hi = ((None if e is None else w * (k - 1 - e)) for e in ends[r : r + 2])
+        row.append((r, lo, hi, keep, base, tuple(x - 1 for x in reduce_values(v[d:]))))
     return row
 
 
+def _fields(n: int) -> tuple[int, int]:
+    """The width w of a code's fields at length n, wide enough for ranks
+    0..n - 1, and the mask 2**w - 1 that reads one field."""
+    w = n.bit_length()
+    return w, (1 << w) - 1
+
+
 def _expander(by_len: dict[int, set[Perm]], n: int):
-    """Return expand(layer, depth), which yields (group, row, top) for each
-    order group of a depth whose row (see _row) is not empty.
+    """Return expand(layer, depth), which yields (order, group, row, top)
+    for each order group of a depth whose row (see _row) is not empty.
 
     The state after `depth` placed values is the tail: the ranks (from 0),
     among the tail values and the n - depth unused ones, of the longest
     suffix of the placed values that reduces to a proper prefix of a
     forbidden pattern; no window completed later can reach further back.
-    A layer maps each order to its group of tails.  A move (j, next tail)
+    A tail is held as one int, its code: each rank in a field of w bits
+    (see _fields), the newest entry in the lowest field, and a sentinel
+    bit 1 above the oldest, so the empty tail is 1.  The sentinel marks
+    the length, so tails of different lengths never share a code.  A
+    layer maps each order to its group of tails.  A move (j, next tail)
     places the j-th smallest unused value as the next tail's last entry,
     q = j + r < top; moves come in ascending j.
     """
     prefixes = {reduce_values(p[:k]) for forb in by_len.values() for p in forb for k in range(1, len(p))}
-    row_of = cache(lambda order: _row(order, by_len, prefixes))
+    w, _ = _fields(n)
+    row_of = cache(lambda order: _row(order, by_len, prefixes, w))
 
-    def expand(layer: dict[Perm, dict], depth: int) -> Iterator[tuple[dict, list, int]]:
+    def expand(layer: dict[Perm, dict], depth: int) -> Iterator[tuple[Perm, dict, list, int]]:
         for order, group in layer.items():
             if row := row_of(order):
-                yield group, row, len(order) + n - depth
+                yield order, group, row, len(order) + n - depth
 
     return expand
 
@@ -200,33 +228,39 @@ def _search_limit(node_budget: int, states: int, depth: int, n: int) -> Resource
     )
 
 
-def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[Perm, int]]]:
-    """Yield the states of each depth 0..n, grouped by order, each with the
-    number of ways to reach it.
+def _forward(expand, n: int, node_budget: int) -> Iterator[dict[Perm, dict[int, int]]]:
+    """Yield the states of each depth 0..n, grouped by order, each tail's
+    code (see _expander) with the number of ways to reach it.
 
-    The budget bounds the moves examined: each state at depth k whose row
-    is not empty is charged one move per unused value, n - k, before its
-    first move is drawn; charges only add up, so it runs out at the same
-    depth as a whole-depth charge would.  The first depth with no state is
-    the last one yielded: no deeper depth can hold one.  The caller has
+    A move is one int add to the code and one dict update: the next
+    codes of a (row entry, tail) pair are the run pre + a .. pre + b - 1
+    (see _row), and a pair whose run is empty builds nothing.  The budget
+    bounds the moves examined: each state at depth k whose row is not
+    empty is charged one move per unused value, n - k, before its first
+    move is drawn; charges only add up, so it runs out at the same depth
+    as a whole-depth charge would.  The first depth with no state is the
+    last one yielded: no deeper depth can hold one.  The caller has
     checked that node_budget is positive.
     """
+    w, m = _fields(n)
     remaining = node_budget
-    layer: dict[Perm, dict[Perm, int]] = {(): {(): 1}}
+    layer: dict[Perm, dict[int, int]] = {(): {1: 1}}
     yield layer
     for depth in range(n):
-        nxt: dict[Perm, dict[Perm, int]] = {}
-        for group, row, top in expand(layer, depth):
+        nxt: dict[Perm, dict[int, int]] = {}
+        for _, group, row, top in expand(layer, depth):
             remaining -= len(group) * (n - depth)
             if remaining < 0:
                 raise _search_limit(node_budget, sum(map(len, layer.values())), depth, n)
-            for _, lo, hi, d, adj, shift, succ in row:
+            for _, lo, hi, keep, base, succ in row:
                 out = nxt.setdefault(succ, {})
-                for tail, c in group.items():
-                    base = tuple(map(operator.sub, tail[d:], adj)) if adj else tail[d:]
-                    for q in range(0 if lo is None else tail[lo] + 1, top if hi is None else tail[hi]):
-                        t = base + (q - shift,)
-                        out[t] = out.get(t, 0) + c
+                for code, c in group.items():
+                    a = 0 if lo is None else (code >> lo & m) + 1
+                    b = top if hi is None else code >> hi & m
+                    if a < b:
+                        pre = ((code & keep) << w) + base
+                        for t in range(pre + a, pre + b):
+                            out[t] = out.get(t, 0) + c
         layer = {succ: group for succ, group in nxt.items() if group}
         yield layer
         if not layer:
@@ -270,34 +304,50 @@ def avoiders(
         return PatternSet(n, tuple(all_perms(n)))
     if count == 0:
         return PatternSet(n, ())
-    # backward pass: expand each depth again, keeping only the moves into states
-    # that reach depth n, and count each kept state's completions
-    ways = dict.fromkeys(itertools.chain.from_iterable(layers.pop().values()), 1)
-    tables: list[dict[Perm, list]] = [{} for _ in range(n)]
+    # backward pass: expand each depth again, keeping only the moves into live
+    # states, those that reach depth n.  live maps each order of the depth below
+    # to its live codes, ascending, and the running sums of their completions, so
+    # bisection finds the live codes in a pair's run pre + a .. pre + b - 1
+    live = {order: (sorted(group), range(len(group) + 1)) for order, group in layers.pop().items()}
+    tables: list[dict[int, list]] = [{} for _ in range(n)]
     prefixes = [0] * n  # live prefixes of each length
     completions = [0] * (n + 1)  # [k]: completions of the live states of depths k..n-1
+    w, m = _fields(n)
     for depth in reversed(range(n)):
-        layer, below, ways = layers.pop(), ways, {}
-        for group, row, top in expand(layer, depth):
-            outs: dict[Perm, list] = {tail: [] for tail in group}
-            for r, lo, hi, d, adj, shift, _ in row:
-                for tail, out in outs.items():
-                    base = tuple(map(operator.sub, tail[d:], adj)) if adj else tail[d:]
-                    qs = range(0 if lo is None else tail[lo] + 1, top if hi is None else tail[hi])
-                    out += [(q - r, t) for q in qs if (t := base + (q - shift,)) in below]
-            for tail, out in outs.items():
+        layer, below, live = layers.pop(), live, {}
+        table, total = tables[depth], completions[depth + 1]
+        for order, group, row, top in expand(layer, depth):
+            moves = [(*entry[:5], below[entry[5]]) for entry in row if entry[5] in below]
+            if not moves:
+                continue
+            ways = {}
+            for code, c in group.items():
+                out, reach = [], 0
+                for r, lo, hi, keep, base, (codes, sums) in moves:
+                    a = 0 if lo is None else (code >> lo & m) + 1
+                    b = top if hi is None else code >> hi & m
+                    if a < b:
+                        pre = ((code & keep) << w) + base
+                        i = bisect.bisect_left(codes, pre + a)
+                        k = bisect.bisect_left(codes, pre + b, i)
+                        if i < k:
+                            out += [(t - pre - r, t) for t in codes[i:k]]
+                            reach += sums[k] - sums[i]
                 if out:
-                    tables[depth][tail] = out
-                    ways[tail] = sum(below[t] for _, t in out)
-                    prefixes[depth] += group[tail]
-        completions[depth] = completions[depth + 1] + sum(ways.values())
+                    table[code], ways[code] = out, reach
+                    prefixes[depth] += c
+            if ways:
+                kept = sorted(ways)
+                live[order] = (kept, [0, *itertools.accumulate(map(ways.__getitem__, kept))])
+                total += sum(ways.values())
+        completions[depth] = total
     # meet at the first depth k with the fewest live prefixes of lengths up to k
     # plus completions of depths k..n-1
     costs = list(map(operator.add, itertools.accumulate(prefixes), completions))
     meet = costs.index(min(costs))
     # a completion of a state at depth d picks the unused values, sorted, at
     # its positions; at depth n - 1, tuple keeps the single value left as it is
-    getters: dict[Perm, list] = dict.fromkeys(tables[n - 1], [tuple])
+    getters: dict[int, list] = dict.fromkeys(tables[n - 1], [tuple])
     for depth in reversed(range(meet, n - 1)):
         # the positions left among the unused values once position j is placed
         positions = tuple(range(n - depth))
@@ -310,7 +360,7 @@ def avoiders(
     # prefixes depth first, smallest value first, then their completions in
     # order: the avoiders come out in lexicographic order
     found: list[Perm] = []
-    stack = [((), tuple(range(1, n + 1)), ())]
+    stack = [((), tuple(range(1, n + 1)), 1)]
     while stack:
         prefix, rest, tail = stack.pop()
         if len(prefix) == meet:

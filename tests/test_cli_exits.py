@@ -16,12 +16,17 @@ line that starts with `patlab:`.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patlab
 from patlab.bounds import METHODS, ORIENTATIONS
 from patlab.cli import run
 
@@ -124,3 +129,23 @@ def test_every_argv_ends_in_a_contract_exit(command, data):
         # raised after argparse: one diagnosis, no traceback
         assert len([line for line in lines if line.startswith("patlab:")]) == 1, (argv, lines)
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_reader_that_stops_early_ends_in_exit_2(fmt):
+    """With PYTHONUNBUFFERED set, stdout writes straight to the pipe, so a
+    write the pipe takes only in part must be finished or raise: a report
+    cut short must not exit 0.  The report (the 8,192 valleys of length 14,
+    about 300 KB) is far larger than a 64 KiB pipe."""
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    src = str(Path(patlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["avoiders", "--patterns", "132,231", "--n", "14", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "patlab", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("patlab: "), err

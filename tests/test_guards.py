@@ -3,6 +3,7 @@ diagnosis, an exit 2 with one `patlab:` line at the command line and the
 library's error at the API."""
 
 import json
+import os
 
 import pytest
 
@@ -28,6 +29,11 @@ def basic(spec):
 
 def pwl(*pieces):
     return basic(json.dumps({"type": "pwl", "pieces": list(pieces)}))
+
+
+def out(path):
+    """A small report written to path."""
+    return ["count", "--patterns", "12", "--n", "3", "--out", path]
 
 
 HALF_OPEN = {"lo": "0", "hi": "1/2", "slope": "1", "hi_closed": False}
@@ -65,9 +71,20 @@ RIGHT_CLOSED = {"lo": "1/2", "hi": "1", "slope": "1", "lo_closed": True}
                      "basic forbidden patterns need n >= 2", id="basic-n-1"),
         pytest.param(["sample", "--map", "logistic:3.7", "--n", "3", "--scan-missing", "2"],
                      "n_max must be at least 3", id="scan-missing-2"),
+        # --out targets that cannot be written, relative to an empty working directory
+        pytest.param(out("."), "[Errno 21] Is a directory: '.'", id="out-directory"),
+        pytest.param(out("missing/report.json"),
+                     "[Errno 2] No such file or directory: 'missing/report.json'",
+                     id="out-parent-missing"),
+        pytest.param(out("x" * 300), f"[Errno 36] File name too long: '{'x' * 300}'",
+                     id="out-name-too-long"),
+        # opened, but every write fails
+        pytest.param(out("/dev/full"), "[Errno 28] No space left on device", id="out-device-full",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
     ],
 )
-def test_cli_guard(capsys, argv, message):
+def test_cli_guard(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

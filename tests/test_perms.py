@@ -142,6 +142,24 @@ def no_double_ascent(n):
     return sum(ways(i, n - 1 - i, False) for i in range(n))
 
 
+def decode_layer(layer, n):
+    """A layer of _forward with each tail's code read back as a tuple.
+
+    A code holds the tail's ranks in fields of n.bit_length() bits, the
+    newest lowest, under a sentinel bit 1 that marks the length.
+    """
+    w = n.bit_length()
+    tails = {}
+    for order, group in layer.items():
+        for code, c in group.items():
+            tail = []
+            while code > 1:
+                tail.append(code % 2**w)
+                code >>= w
+            tails.setdefault(order, {})[tuple(reversed(tail))] = c
+    return tails
+
+
 class TestAvoiders:
     def test_no_patterns_gives_everything(self):
         assert count_avoiders([], 4) == 24
@@ -264,7 +282,8 @@ class TestAvoiders:
         # yield one more empty depth per unused value
         n = 4 * 10**7
         expand = _expander(_group_by_length([(1,)]), n)
-        assert list(itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)) == [{(): {(): 1}}, {}]
+        layers = itertools.islice(_forward(expand, n, DEFAULT_NODE_BUDGET), 5)
+        assert [decode_layer(layer, n) for layer in layers] == [{(): {(): 1}}, {}]
         # depth 0 has no move to charge; no deeper depth is reached
         assert count_avoiders([(1,)], 10**20, node_budget=10**21) == 0
         assert len(avoiders([(1,)], 10**20, node_budget=10**21)) == 0
@@ -272,13 +291,21 @@ class TestAvoiders:
     def test_states_per_depth(self):
         # every depth's states are grouped by the order of their entries
         patterns = [parse_perm(w) for w in TENT_BASIS_3_5.split(",")]
-        layers = list(_forward(_expander(_group_by_length(patterns), 10), 10, DEFAULT_NODE_BUDGET))
+        coded = _forward(_expander(_group_by_length(patterns), 10), 10, DEFAULT_NODE_BUDGET)
+        layers = [decode_layer(layer, 10) for layer in coded]
         assert [sum(map(len, layer.values())) for layer in layers] == [
             1, 10, 90, 600, 1470, 910, 525, 275, 125, 45, 10
         ]
         for layer in layers:
             for order, group in layer.items():
                 assert all(tuple(map(sorted(tail).index, tail)) == order for tail in group)
+
+    def test_codes_of_one_depth_are_distinct(self):
+        # the backward pass keys the tails of a depth, of every length, by code alone
+        patterns = [parse_perm(w) for w in TENT_BASIS_3_5.split(",")]
+        for layer in _forward(_expander(_group_by_length(patterns), 10), 10, DEFAULT_NODE_BUDGET):
+            codes = [code for group in layer.values() for code in group]
+            assert len(set(codes)) == len(codes)
 
     @pytest.mark.parametrize(
         "text, n, budget, states, depth",
