@@ -80,7 +80,11 @@ def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
     increasing piece or f(hi) < hi on a decreasing one: f(x) - x is
     monotone on an affine piece, so that end decides whether it meets
     f(x) < x.  'above' mirrors both (f(hi) > hi rising, f(lo) > lo
-    falling).  Zero-length pieces are not monotone ramps and are skipped.
+    falling).  A zero-length piece at x qualifies when f(x) < x (f(x) > x
+    for 'above') and x, f(x), f(f(x)), f(f(f(x))) are distinct: it can
+    hold one point of the refined witness's descent, which needs at least
+    three distinct values after it, so the sawtooth's endpoint 1 -> 0 -> 0
+    does not qualify.
     """
     sign = 1 if _check_choice("orientation", orientation, ORIENTATIONS) == "below" else -1
     count = 0
@@ -88,6 +92,11 @@ def refined_piece_count(m: PwlMap, orientation: str = "below") -> int:
         if p.lo < p.hi:
             x = p.lo if (p.slope > 0) == (sign > 0) else p.hi
             count += sign * (x - p.value_at(x)) > 0
+        else:
+            orbit = [p.lo]
+            while len(orbit) < 4:
+                orbit.append(m(orbit[-1]))
+            count += sign * (orbit[0] - orbit[1]) > 0 and len(set(orbit)) == 4
     return count
 
 

@@ -17,13 +17,14 @@ ends, and each part is placed as soon as it is split off, so no list of
 parts is built.  Each part is nonempty: the scan keeps only pieces whose
 preimage meets the item, and a point piece is closed at both ends.
 
-Two bisections over the old order find the ranks the new iterate takes
-on a part (_span): its rank just right of the part's left end and just
-left of its right end, the slope breaking a tie one way and then the
-other.  Within a part the old iterates never cross, so the new one
-crosses each at most once and its rank is monotone there: it takes every
-rank between those two, one up or down at each crossing.  _place writes
-one segment per rank, each but the last ending, open, at its crossing
+The full walk hands each part to one call (_place_part).  Two bisections
+over the old order find the ranks the new iterate takes on the part: its
+rank just right of the part's left end and just left of its right end,
+the slope breaking a tie one way and then the other.  Within a part the
+old iterates never cross, so the new one crosses each at most once and
+its rank is monotone there: it takes every rank between those two, one
+up or down at each crossing.  The same call pushes one item per rank
+onto the walk's stack, each but the last ending, open, at its crossing
 with the old iterate the new one passes next, strictly inside the part.
 A part is dropped where the new iterate equals an old one on all of it,
 and a point part where it ties an old one there; an end of a part is
@@ -78,11 +79,14 @@ budget below 1 through one check (perms._check_budget).
 One walk serves every exact query on a map, and at its last depth it
 makes no items.  For each order of the items one depth up it records one
 bitmask of the ranks the new iterate takes on their parts, the ranges
-_span finds; every other depth records the same masks, and _place cuts
-each range there into items.  An item's rank word is its parent's word
-with the values from v = r + 1 up raised by one, then v, where r is its
-new iterate's rank; so level 0 is the word (1,) and each level's words are
-the words of the one before glued to the last values of their masks.
+_place_part finds; every other depth records the same masks, and there
+_place_part also pushes each range's items.  An item's rank word is its
+parent's word with the values from v = r + 1 up raised by one, then v,
+where r is its new iterate's rank; so level 0 is the word (1,) and each
+level's words are the words of the one before glued to the last values
+of their masks.  A level has one word per bit of the masks above it, so
+where it has as many orders with children, every word is one of theirs
+and nothing is glued; for tent that holds at every depth but the last.
 The module keeps one entry in process, the most recent full walk: the
 map, its depth, the items made at each depth and, at every depth it
 reached, each rank word with the mask of its children's last values.
@@ -132,8 +136,8 @@ def walk(
     agrees with its prefix are kept.  The pattern fixes the order at each
     depth and the two iterates the new one must lie between, and each part
     is cut to that rank by _cut as it is split off an item; without
-    `pattern`, _place cuts each part into one segment per rank the new
-    iterate takes on it, the ranks _span finds.
+    `pattern`, _place_part cuts each part into one item per rank the new
+    iterate takes on it.
     """
     if depth < 0:
         raise BadParameter(f"the depth must be at least 0, got {depth}")
@@ -229,16 +233,11 @@ def _walk(scaled, depth: int, cell_budget: int, pattern, created: list[int],
             shn, shd, shc = (phn, den, pc_hi) if t < 0 else (hn, hd, hc if t else hc and pc_hi)
             fa, fb = s * a // q, s * b // q + c
             if pattern is None:
-                span = _span(A, B, order, fa, fb, sln, sld, shn, shd)
+                span = _place_part(stack if k1 != bare else None,
+                                   A, B, order, fa, fb, sln, sld, slc, shn, shd, shc)
                 if span is None:
                     continue
                 r0, r1 = span
-                if k1 != bare:
-                    A1, B1 = A + (fa,), B + (fb,)
-                    for nln, nld, nlc, nhn, nhd, nhc, r in _place(
-                            A, B, order, fa, fb, r0, r1, sln, sld, slc, shn, shd, shc):
-                        stack.append((k1, nln, nld, nhn, nhd, nlc, nhc, A1, B1,
-                                      order[:r] + (k1,) + order[r:]))
                 if r0 > r1:
                     r0, r1 = r1, r0
                 made = r1 - r0 + 1  # the rank moves by one at each crossing
@@ -317,72 +316,66 @@ def _cylinder_counts(pieces, q) -> Iterator[int]:
             return  # every later count equals this one
 
 
-def _rank_near(A, B, order, fa, fb, xn, xd, side) -> int:
-    """The rank the new iterate fa*x + fb takes just right of x = xn / xd
-    (side +1) or just left of it (side -1): a bisection over the order,
-    the slope breaking a tie."""
-    r, top = 0, len(order)
-    while r < top:
-        mid = (r + top) // 2
-        j = order[mid]
-        da = fa - A[j]
-        d = da * xn + (fb - B[j]) * xd
-        if d > 0 or d == 0 and da * side > 0:
-            r = mid + 1
-        else:
-            top = mid
-    return r
-
-
-def _span(A, B, order, fa, fb, ln, ld, hn, hd) -> tuple[int, int] | None:
+def _place_part(stack, A, B, order, fa, fb, ln, ld, lc, hn, hd, hc) -> tuple[int, int] | None:
     """The ranks r and s the new iterate fa*x + fb takes on a part just
     right of its left end and just left of its right end, or None where
-    the part holds no item; only the part's ends are read, not its flags.
+    the part holds no item; with a list `stack`, also push the part's
+    items onto it, one per rank from r to s, left to right.
 
-    Within a part the old iterates never cross, so the new iterate's rank
-    is monotone there and it takes every rank between r and s, both found
-    by _rank_near, the slope breaking a tie one way at the left end and
-    the other way at the right.  The part is dropped where the new iterate
-    equals order[r] on all of it (an old iterate it equals can only sit
-    there), and a point part where it ties an old iterate there, which is
-    where r and s part.
+    Each end's rank is a bisection over the order, the slope breaking a
+    tie one way at the left end and the other way at the right.  The part
+    is dropped where the new iterate equals order[r] on all of it (an old
+    iterate it equals can only sit there), and a point part where it ties
+    an old iterate there, which is where r and s part.  An item ends, open,
+    where the rank steps: at the crossing with order[r] where it rises and
+    order[r - 1] where it falls.  An end of the part is opened where the
+    new iterate ties a neighbour of its rank there.
     """
-    r = _rank_near(A, B, order, fa, fb, ln, ld, 1)
-    if r < len(order) and fa == A[order[r]] and fb == B[order[r]]:
+    top = len(order)
+    r, t = 0, top
+    while r < t:
+        mid = (r + t) // 2
+        j = order[mid]
+        da = fa - A[j]
+        d = da * ln + (fb - B[j]) * ld
+        if d > 0 or d == 0 and da > 0:
+            r = mid + 1
+        else:
+            t = mid
+    if r < top and fa == A[order[r]] and fb == B[order[r]]:
         return None
-    s = _rank_near(A, B, order, fa, fb, hn, hd, -1)
+    s, t = 0, top
+    while s < t:
+        mid = (s + t) // 2
+        j = order[mid]
+        da = fa - A[j]
+        d = da * hn + (fb - B[j]) * hd
+        if d > 0 or d == 0 and da < 0:
+            s = mid + 1
+        else:
+            t = mid
     if r != s and ln * hd == hn * ld:
         return None
+    if stack is not None:
+        k1, A1, B1 = top, A + (fa,), B + (fb,)  # the items' depth k + 1 is len(order)
+        if lc:
+            for j in order[r - 1 if r else 0:r + 1]:
+                if (fa - A[j]) * ln + (fb - B[j]) * ld == 0:
+                    lc = False
+                    break
+        if hc:
+            for j in order[s - 1 if s else 0:s + 1]:
+                if (fa - A[j]) * hn + (fb - B[j]) * hd == 0:
+                    hc = False
+                    break
+        step, i = 1 if s > r else -1, r
+        while i != s:
+            j = order[i if step > 0 else i - 1]
+            xn, xd = step * (B[j] - fb), step * (fa - A[j])  # the crossing, xd > 0
+            stack.append((k1, ln, ld, xn, xd, lc, False, A1, B1, order[:i] + (k1,) + order[i:]))
+            ln, ld, lc, i = xn, xd, False, i + step
+        stack.append((k1, ln, ld, hn, hd, lc, hc, A1, B1, order[:s] + (k1,) + order[s:]))
     return r, s
-
-
-def _place(A, B, order, fa, fb, r, s, ln, ld, lc, hn, hd, hc) -> list[tuple]:
-    """Cut a part into segments (lo, hi, flags, rank of the new iterate),
-    one for each rank from r to s, left to right, where (r, s) is the
-    part's _span.
-
-    The rank steps by one at each crossing of the new iterate with an old
-    one, order[r] where it rises and order[r - 1] where it falls; that
-    crossing lies strictly inside the part and ends the segment, open.
-    An end of the part is opened where the new iterate ties a neighbour
-    of its rank there; no other end is cut.
-    """
-    step = 1 if s > r else -1
-    lc = lc and not _ties(A, B, order, fa, fb, r, ln, ld)
-    out = []
-    while r != s:
-        j = order[r if step > 0 else r - 1]
-        xn, xd = step * (B[j] - fb), step * (fa - A[j])  # the crossing, xd > 0
-        out.append((ln, ld, lc, xn, xd, False, r))
-        ln, ld, lc, r = xn, xd, False, r + step
-    out.append((ln, ld, lc, hn, hd, hc and not _ties(A, B, order, fa, fb, s, hn, hd), s))
-    return out
-
-
-def _ties(A, B, order, fa, fb, r, xn, xd) -> bool:
-    """Whether the new iterate at x = xn / xd equals order[r - 1] or
-    order[r], the neighbours of rank r."""
-    return any((fa - A[j]) * xn + (fb - B[j]) * xd == 0 for j in order[max(r - 1, 0):r + 1])
 
 
 def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
@@ -392,11 +385,11 @@ def _cut(A, B, fa, fb, cuts, ln, ld, lc, hn, hd, hc) -> tuple | None:
     `cuts` holds the rank's neighbours as (iterate j, sign): the new
     iterate must lie above j where sign is +1 and below it where sign is
     -1, the linear inequality sign * ((fa - A[j]) * x + fb - B[j]) > 0.
-    The rank is the pattern's, not one _span finds for the full walk, so
-    either end may be cut, inside the part or at it: this is the only
-    place a lower end is cut inside a part.  A cut strictly inside becomes
-    an open end at the crossing; a cut at an end opens that end, so a tie
-    there is dropped.
+    The rank is the pattern's, not one the full walk finds, so either end
+    may be cut, inside the part or at it: this is the only place a lower
+    end is cut inside a part.  A cut strictly inside becomes an open end
+    at the crossing; a cut at an end opens that end, so a tie there is
+    dropped.
     """
     for j, sign in cuts:
         da, db = sign * (fa - A[j]), sign * (fb - B[j])
@@ -464,7 +457,9 @@ def _level(m: PwlMap, depth: int, cell_budget: int) -> dict[Perm, int]:
     more items than cell_budget.  Any other call frees the entry and walks,
     so a smaller budget raises as a first walk would.  A depth the walk
     never reached has no items.  Level 0 is the word (1,), and level k + 1
-    is each word of level k glued to each last value of its mask.
+    is each word of level k glued to each last value of its mask; it is
+    glued only where it holds words with no children, since the words
+    with children are already the walk's orders at depth k + 1.
     """
     global _entry
     _check_budget(cell_budget, "cell")
@@ -477,13 +472,15 @@ def _level(m: PwlMap, depth: int, cell_budget: int) -> dict[Perm, int]:
             pass
         level, levels = _ABOVE_ROOT, []
         for ranked in [*masks, {}]:  # the orders of one depth, each with its mask
+            whole = sum(bits.bit_count() for bits in level.values()) == len(ranked)
             words = {}
             while ranked:  # free each order as its word is made, to keep the peak low
                 order, bits = ranked.popitem()
                 words[_word(order)] = bits
-            for alpha, bits in level.items():
-                for w in _glued(alpha, bits):
-                    words.setdefault(w, 0)  # a word with no children
+            if not whole:
+                for alpha, bits in level.items():
+                    for w in _glued(alpha, bits):
+                        words.setdefault(w, 0)  # a word with no children
             level = words
             levels.append(level)
         e = _entry = _Entry(m, depth, created, levels)
@@ -539,7 +536,7 @@ def exact_basic_forbidden(
     found: list[Perm] = []
     for alpha, own in shorter.items():
         a0 = alpha[0]
-        right = windows.get(tuple(e - (e > a0) for e in alpha[1:]), 0)
+        right = windows.get(tuple([e - (e > a0) for e in alpha[1:]]), 0)
         # the right window of alpha + v ends in v, less one if above pi[0],
         # which is a0 or a0 + 1, so exactly when v > a0
         right = (right & (2 << a0) - 1) | (right >> a0 << a0 + 1)

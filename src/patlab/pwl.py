@@ -9,7 +9,8 @@ sawtooth whose ramps flip slope sign from one to the next.
 The sawtooth convention: ramps are half-open [lo, hi) and the endpoint
 x = 1 sits in its own zero-length piece with value 0, matching the mod-1
 definition.  Degenerate pieces are carried through every computation but
-are never treated as monotone ramps.
+are never treated as monotone ramps; bounds.refined_piece_count counts
+one only where it can hold a point of an orbit past the diagonal.
 
 Where the graph sits against the diagonal is not computed here:
 patlab.bounds reads it off the depth-1 items of the engine's refinement

@@ -35,7 +35,7 @@ from patlab import (
     witness,
 )
 from patlab import engine
-from patlab.engine import _cut, _place, _scaled, _span, walk
+from patlab.engine import _cut, _place_part, _scaled, walk
 
 F = Fraction
 
@@ -96,8 +96,7 @@ class TestBudgetChecks:
         def no_part(*args, **kwargs):
             raise AssertionError("split an item although the walk is too wide for the budget")
 
-        monkeypatch.setattr("patlab.engine._span", no_part)
-        monkeypatch.setattr("patlab.engine._place", no_part)
+        monkeypatch.setattr("patlab.engine._place_part", no_part)
         monkeypatch.setattr("patlab.engine._cut", no_part)
         # sawtooth:4 has 4**11 = 4,194,304 cylinders at depth 11
         with pytest.raises(
@@ -532,12 +531,27 @@ def neighbours(order, target):
                  if 0 <= i < len(order))
 
 
+def span(A, B, order, fa, fb, part):
+    """_place_part's ranks at a part's two ends, with no stack to push onto,
+    as at the last depth of the walk behind the exact queries."""
+    return _place_part(None, A, B, order, fa, fb, *part)
+
+
 def place(A, B, order, fa, fb, part):
-    """_place's segments on a part, over the ranks _span finds there, as
-    the full walk cuts them; none where _span drops the part."""
-    ln, ld, _, hn, hd, _ = part
-    span = _span(A, B, order, fa, fb, ln, ld, hn, hd)
-    return [] if span is None else _place(A, B, order, fa, fb, *span, *part)
+    """The items _place_part pushes for a part, as the full walk cuts them,
+    each as a segment (lo, hi, flags, rank of the new iterate); none where
+    it drops the part.  Each item extends the part's order and iterates by
+    the new one, and the ranks returned are those of the first and last
+    segment, with or without a stack."""
+    stack = []
+    ranks = _place_part(stack, A, B, order, fa, fb, *part)
+    k1, out = len(order), []
+    for k, ln, ld, hn, hd, lc, hc, A1, B1, new in stack:
+        r = new.index(k1)
+        assert (k, A1, B1, new[:r] + new[r + 1:]) == (k1, A + (fa,), B + (fb,), order)
+        out.append((ln, ld, lc, hn, hd, hc, r))
+    assert ranks == ((out[0][-1], out[-1][-1]) if out else None) == span(A, B, order, fa, fb, part)
+    return out
 
 
 def placed(A, B, order, fa, fb, part, target):
@@ -697,8 +711,8 @@ def placements(draw):
 
 
 class TestPlace:
-    """The full placement, _place over _span's ranks, stepping one rank at
-    each crossing, against the same inequalities cut rank by rank."""
+    """The full placement, _place_part's items, stepping one rank at each
+    crossing, against the same inequalities cut rank by rank."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(placements())
@@ -742,8 +756,8 @@ def place_span(A, B, order, fa, fb, part):
 
 
 class TestSpan:
-    """_span, the ranks the full walk reads at a part's two ends, against
-    the first and last rank of the rank-by-rank cut.
+    """_place_part's ranks, the ones the full walk reads at a part's two
+    ends, against the first and last rank of the rank-by-rank cut.
 
     The old iterates are the constants 1 < 2 < 3; parts are (lo_num,
     lo_den, lo_closed, hi_num, hi_den, hi_closed).
@@ -778,15 +792,14 @@ class TestSpan:
     )
     def test_rank_range(self, fa, fb, part, expected):
         A, B, order = self.A, self.B, self.order
-        assert _span(A, B, order, fa, fb, part[0], part[1], part[3], part[4]) == expected
+        assert span(A, B, order, fa, fb, part) == expected
         assert place_span(A, B, order, fa, fb, part) == expected
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(placements())
     def test_matches_the_placement(self, placement):
-        A, B, order, fa, fb, (ln, ld, lc, hn, hd, hc) = placement
-        expected = place_span(A, B, order, fa, fb, (ln, ld, lc, hn, hd, hc))
-        assert _span(A, B, order, fa, fb, ln, ld, hn, hd) == expected
+        A, B, order, fa, fb, part = placement
+        assert span(A, B, order, fa, fb, part) == place_span(A, B, order, fa, fb, part)
 
 
 class TestGenericMapProperties:

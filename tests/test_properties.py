@@ -28,6 +28,7 @@ from patlab import (
     all_perms,
     alt_sawtooth,
     avoiders,
+    basis_obstruction,
     count_avoiders,
     diagonal_region,
     exact_allowed,
@@ -191,13 +192,15 @@ def test_refined_piece_count_matches_its_definition(m, orientation):
     """A rising piece counts when its affine extension is strictly past the
     diagonal at its left end (below) or right end (above); a falling piece
     counts when one of its points is, checked at its owned ends, its fixed
-    point and between them."""
+    point and between them.  A point piece counts when it is past the
+    diagonal and its orbit takes four distinct values first."""
     def past(p, x):
         return p.value_at(x) < x if orientation == "below" else p.value_at(x) > x
 
     count = 0
     for p in m.pieces:
         if p.lo == p.hi:
+            count += past(p, p.lo) and len(set(orbit(m, p.lo, 4))) == 4
             continue
         if p.slope > 0:
             count += past(p, p.lo if orientation == "below" else p.hi)
@@ -271,6 +274,40 @@ def test_refined_witness_of_each_count_is_forbidden(m):
             assert not is_realized(m, w), (orientation, k, w)
 
 
+def check_refined_witness_against_the_basis(m) -> bool:
+    """The paper's third result on the map's own basis.  A map with m pieces
+    of positive length has at most m monotone pieces, so witness(m,
+    "refined") and witness(m + 1, "refined") are not realized.  With k =
+    refined_piece_count(m, "below") >= 1, witness(k, "refined") is
+    forbidden, so it holds a basic forbidden pattern of length at most
+    2k + 3, and basis_obstruction on the map's exact basic patterns of
+    lengths 2..2k + 3 does not list k.  Returns whether that second part
+    ran (where 2k + 3 <= 7)."""
+    pieces = sum(p.lo < p.hi for p in m.pieces)
+    for order in (pieces, pieces + 1):
+        assert not is_realized(m, witness(order, "refined")), order
+    k = refined_piece_count(m, "below")
+    if not 1 <= k <= 2:
+        return False
+    basis = [p for n in range(2, 2 * k + 4) for p in exact_basic_forbidden(m, n)]
+    assert basis and k not in basis_obstruction(basis, k), (k, basis)
+    return True
+
+
+def test_refined_witness_obstructs_no_real_basis():
+    """check_refined_witness_against_the_basis on 100 maps; a CI step runs
+    it on 1,000."""
+    ran = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(pwl_maps(), bound_maps()))
+    def check(m):
+        ran.append(check_refined_witness_against_the_basis(m))
+
+    check()
+    assert len(ran) >= 100 and sum(ran) >= 50, (len(ran), sum(ran))
+
+
 @PROPERTY
 @given(st.one_of(pwl_maps(), bound_maps()), st.integers(0, 5), st.data())
 def test_items_hold_their_order_at_their_closed_ends(m, depth, data):
@@ -292,24 +329,23 @@ def test_items_hold_their_order_at_their_closed_ends(m, depth, data):
 def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
     """The split has no test for an empty part: its scan keeps only pieces
     whose preimage meets the item, and a point piece is closed at both ends,
-    so each part it hands to _span and _place (full walk) or _cut (pruned)
-    is nonempty.  _span reads only the part's ends, and it sees every part
-    of the full walk, also those it drops and those of the last depth of
-    the walk behind exact_allowed, which makes no item."""
-    parts, spans = [], []
+    so each part it hands to _place_part (full walk) or _cut (pruned) is
+    nonempty.  _place_part sees every part of the full walk, also those it
+    drops and those of the last depth of the walk behind exact_allowed,
+    where it pushes no item."""
+    parts = []
 
-    def spy(real, seen, width):
+    def spy(real):
         def recording(*args):
-            seen.append(args[-width:])  # each takes the part as its last arguments
+            parts.append(args[-6:])  # each takes the part as its last arguments
             return real(*args)
         return recording
 
     pattern = data.draw(st.permutations(range(1, depth + 2)))
     engine._entry = None
     try:
-        with mock.patch.object(engine, "_span", spy(engine._span, spans, 4)), \
-                mock.patch.object(engine, "_place", spy(engine._place, parts, 6)), \
-                mock.patch.object(engine, "_cut", spy(engine._cut, parts, 6)):
+        with mock.patch.object(engine, "_place_part", spy(engine._place_part)), \
+                mock.patch.object(engine, "_cut", spy(engine._cut)):
             for _ in walk(m, depth):
                 pass
             for _ in walk(m, depth, pattern=pattern):
@@ -317,11 +353,9 @@ def test_every_part_the_split_hands_on_is_nonempty(m, depth, data):
             exact_allowed(m, depth + 1)
     finally:
         engine._entry = None
-    assert parts and spans
+    assert parts
     for ln, ld, lc, hn, hd, hc in parts:
         assert ln * hd < hn * ld or ln * hd == hn * ld and lc and hc, (ln, ld, lc, hn, hd, hc)
-    for ln, ld, hn, hd in spans:
-        assert ln * hd <= hn * ld, (ln, ld, hn, hd)
 
 
 @PROPERTY
@@ -353,6 +387,58 @@ def test_levels_are_the_rank_words_of_the_walks_items(m, depth):
         assert engine._entry is entry  # every level was served from the one walk
     finally:
         engine._entry = None
+
+
+def test_levels_are_glued_only_where_words_have_no_children():
+    """A level holds one word per bit of the masks above it, and the orders
+    with children are some of them, so _level glues a level only where it
+    has more words than such orders.  Its levels, in order, must equal those
+    of a reference that glues every level, and _glued must be called only
+    for the levels it does not skip.  Over the examples, levels below the
+    walk's depth come both whole and with childless words."""
+    seen, real = Counter(), engine._glued
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(pwl_maps(), bound_maps()), st.integers(1, 5))
+    def check(m, depth):
+        masks, glues = [], 0
+        for _ in engine._walk(engine._full_scaled(m, depth, 10**6), depth, 10**6, None, [], masks):
+            pass
+        level, expected = {(): 2}, []
+        for k, ranked in enumerate([*masks, {}]):
+            words = {_word(order): bits for order, bits in reversed(ranked.items())}
+            # every word of the level: each word above glued to each bit of its mask
+            every = [tuple(e + (e >= v) for e in alpha) + (v,) for alpha, bits in level.items()
+                     for v in range(bits.bit_length()) if bits >> v & 1]
+            assert set(words) <= set(every)
+            if len(every) > len(words):
+                glues += len(level)
+                if k < depth:
+                    seen["childless"] += 1
+            elif 0 < k < depth:
+                seen["whole"] += 1
+            for w in every:
+                words.setdefault(w, 0)
+            level = words
+            expected.append(level)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        engine._entry = None
+        try:
+            with mock.patch.object(engine, "_glued", counting):
+                engine._level(m, depth, 10**6)
+            got = [list(words.items()) for words in engine._entry.levels]
+            assert got == [list(words.items()) for words in expected]
+        finally:
+            engine._entry = None
+        assert len(calls) == glues
+
+    check()
+    assert seen["childless"] and seen["whole"], seen
 
 
 @PROPERTY

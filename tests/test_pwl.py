@@ -15,9 +15,11 @@ from patlab import (
     ValidationError,
     alt_sawtooth,
     diagonal_region,
+    is_realized,
     refined_piece_count,
     sawtooth,
     tent,
+    witness,
 )
 from patlab.engine import walk
 
@@ -165,6 +167,23 @@ class TestDiagonalGeometry:
         rising ramps qualify alongside the falling ones."""
         assert refined_piece_count(alt_sawtooth(9), "below") == 8
         assert refined_piece_count(alt_sawtooth(3), "below") == 2
+
+    def test_refined_count_holds_a_point_piece_past_the_diagonal(self):
+        """The point piece 1/12 -> 0 -> 1/3 -> 1/6 is below the diagonal with
+        an orbit that goes on, so it can hold a point of the refined
+        witness's descent: witness(1, "refined") is realized on this map,
+        and the count below is 2, not the one ramp that qualifies."""
+        m = PwlMap((
+            PwlPiece(F(0), F(1, 12), True, False, F(-2), F(1, 3)),
+            PwlPiece(F(1, 12), F(1, 12), True, True, F(0), F(0)),
+            PwlPiece(F(1, 12), F(5, 12), False, False, F(3, 2), F(1, 24)),
+            PwlPiece(F(5, 12), F(1), True, True, F(6, 7), F(-5, 14)),
+        ))
+        assert is_realized(m, witness(1, "refined"))
+        assert refined_piece_count(m, "below") == 2
+        assert not is_realized(m, witness(2, "refined"))
+        # sawtooth's endpoint 1 -> 0 is below the diagonal too, but 0 is fixed
+        assert [refined_piece_count(sawtooth(n), "below") for n in (2, 3, 5)] == [1, 2, 4]
 
 
 def items_at(m, depth):
